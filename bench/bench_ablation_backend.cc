@@ -272,7 +272,6 @@ main(int argc, char **argv)
             ctx.report.row({{"section", "ablation_backend_perf"},
                             {"app", core::toString(k)},
                             {"nodes", ctx.machine.nodes},
-                            {"shards", ctx.machine.parShards},
                             {"secs", secs},
                             {"events", events},
                             {"events_per_sec", eps}});

@@ -397,7 +397,6 @@ main(int argc, char **argv)
                     {{"section", "isolation_" + backend},
                      {"app", "abuser"},
                      {"nodes", ctx.machine.nodes},
-                     {"shards", ctx.machine.parShards},
                      {"secs", secs},
                      {"events", events},
                      {"events_per_sec", eps}});

@@ -1,18 +1,9 @@
 /**
  * @file
- * Parallel-engine scale sweep: host events/sec of whole-machine
- * simulation across a nodes x par_shards grid, on the synthetic
- * request workload (Section 5.2's shape, sized per node count).
- *
- * For every node count the shards=1 cell is the serial oracle; each
- * shards=S cell reports its speedup against that oracle. Memory is
- * reported two ways: the process-wide peak (VmHWM, monotone across
- * cells) and the resident-set growth from just before the machine is
- * built to the end of its run, divided by the node count — the
- * per-node footprint the node-state diet targets. Wall-clock speedup
- * above 1.0 needs real cores: set FUGU_THREADS and run on a
- * multi-core host; a single-core container still verifies the
- * engine's overhead (speedup ~1/overhead).
+ * Machine scale sweep: host events/sec of whole-machine simulation
+ * across node counts, on the synthetic request workload (Section
+ * 5.2's shape, sized per node count). Each cell also reports the
+ * process-wide peak resident set (VmHWM, monotone across cells).
  *
  * Writes BENCH_machine.json with --json; the CI perf gate diffs its
  * events/sec against the committed baseline.
@@ -23,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,7 +51,7 @@ splitCsvU(const std::string &csv)
     return out;
 }
 
-/** Current resident set ("VmRSS") or peak ("VmHWM"), in KiB. */
+/** A /proc/self/status field such as "VmHWM", in KiB. */
 std::uint64_t
 procStatusKb(const char *key)
 {
@@ -81,17 +71,6 @@ procStatusKb(const char *key)
     return kb;
 }
 
-struct Cell
-{
-    unsigned nodes, shards;
-    double secs;
-    std::uint64_t events;
-    double eps;
-    double speedup;
-    std::uint64_t peakRssKb;
-    double rssPerNodeKb;
-};
-
 } // namespace
 
 int
@@ -100,7 +79,6 @@ main(int argc, char **argv)
     const bool quick = std::getenv("FUGU_QUICK") != nullptr;
     std::string appsCsv = "synth";
     std::string nodesCsv = quick ? "64,256" : "64,256,1024";
-    std::string shardsCsv = quick ? "1,4" : "1,2,4,8";
     unsigned groups = 2;  // synchronization groups per node
     unsigned requests = quick ? 20 : 50; // requests per group
     unsigned reps = 3; // best-of runs per cell (noise floor)
@@ -110,7 +88,7 @@ main(int argc, char **argv)
     spec.defaults = [](BenchContext &ctx) {
         // Engine throughput, not checker throughput: the invariant
         // checker's bookkeeping (and its O(nodes^2) sweeps) would
-        // dominate at scale. test_parallel covers correctness.
+        // dominate at scale; the test suite covers correctness.
         ctx.machine.check.enabled = false;
     };
     spec.params = [&](sim::Binder &b) {
@@ -118,8 +96,6 @@ main(int argc, char **argv)
         b.item("apps", appsCsv,
                "workloads to sweep (csv of workload names)");
         b.item("nodes", nodesCsv, "node counts to sweep (csv)");
-        b.item("shards", shardsCsv,
-               "machine.par_shards values to sweep (csv)");
         b.item("groups", groups, "synth groups per node");
         b.item("requests", requests, "synth requests per group");
         b.item("reps", reps,
@@ -138,94 +114,55 @@ main(int argc, char **argv)
         std::printf("Machine-simulation scale sweep (synth: "
                     "%u groups/node x %u requests)\n",
                     groups, requests);
-        std::printf("%-6s  %6s  %6s  %8s  %12s  %14s  %8s  %10s\n",
-                    "app", "nodes", "shards", "secs", "events",
-                    "events/sec", "speedup", "rss/node");
+        std::printf("%-6s  %6s  %8s  %12s  %14s  %10s\n", "app",
+                    "nodes", "secs", "events", "events/sec", "peak rss");
 
-        // (app, nodes) -> the shards=1 oracle's events/sec.
-        std::map<std::pair<std::string, unsigned>, double> serialEps;
         for (const std::string &app : splitCsv(appsCsv)) {
             for (unsigned nodes : splitCsvU(nodesCsv)) {
-                for (unsigned shards : splitCsvU(shardsCsv)) {
-                    if (shards > nodes)
-                        continue;
-                    glaze::MachineConfig cfg = ctx.machine;
-                    cfg.nodes = nodes;
-                    cfg.parShards = shards;
+                glaze::MachineConfig cfg = ctx.machine;
+                cfg.nodes = nodes;
 
-                    // Best of reps runs: host noise (especially with
-                    // more threads than cores) only ever slows a run
-                    // down, so the fastest rep is the least-noisy
-                    // estimate and what the CI gate compares.
-                    const std::uint64_t rss0 = procStatusKb("VmRSS");
-                    RunStats r;
-                    double secs = 0;
-                    std::uint64_t rss1 = rss0;
-                    for (unsigned rep = 0; rep < std::max(reps, 1u);
-                         ++rep) {
-                        const auto t0 =
-                            std::chrono::steady_clock::now();
-                        const RunStats rr =
-                            runJob(cfg, wl.factory(app),
-                                   /*with_null=*/false,
-                                   /*gang=*/false, ctx.gang,
-                                   ctx.maxCycles);
-                        const double s =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-                        if (rep == 0) {
-                            rss1 = procStatusKb("VmRSS");
-                            r = rr;
-                            secs = s;
-                        } else if (s < secs) {
-                            r = rr;
-                            secs = s;
-                        }
-                        if (!rr.completed) {
-                            std::fprintf(
-                                stderr,
-                                "FAIL: %s at %u nodes x %u shards "
-                                "did not complete\n",
-                                app.c_str(), nodes, shards);
-                            return 1;
-                        }
+                // Best of reps runs: host noise only ever slows a run
+                // down, so the fastest rep is the least-noisy
+                // estimate and what the CI gate compares.
+                RunStats r;
+                double secs = 0;
+                for (unsigned rep = 0; rep < std::max(reps, 1u); ++rep) {
+                    const auto t0 = std::chrono::steady_clock::now();
+                    const RunStats rr =
+                        runJob(cfg, wl.factory(app),
+                               /*with_null=*/false, /*gang=*/false,
+                               ctx.gang, ctx.maxCycles);
+                    const double s =
+                        std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+                    if (rep == 0 || s < secs) {
+                        r = rr;
+                        secs = s;
                     }
-
-                    Cell c;
-                    c.nodes = nodes;
-                    c.shards = shards;
-                    c.secs = secs;
-                    c.events = r.events;
-                    c.eps = r.events / secs;
-                    if (shards == 1)
-                        serialEps[{app, nodes}] = c.eps;
-                    c.speedup = serialEps.count({app, nodes})
-                                    ? c.eps / serialEps[{app, nodes}]
-                                    : 0.0;
-                    c.peakRssKb = procStatusKb("VmHWM");
-                    c.rssPerNodeKb =
-                        rss1 > rss0
-                            ? static_cast<double>(rss1 - rss0) / nodes
-                            : 0.0;
-
-                    std::printf("%-6s  %6u  %6u  %8.3f  %12llu  "
-                                "%14.0f  %7.2fx  %8.1fK\n",
-                                app.c_str(), c.nodes, c.shards, c.secs,
-                                static_cast<unsigned long long>(
-                                    c.events),
-                                c.eps, c.speedup, c.rssPerNodeKb);
-                    ctx.report.row(
-                        {{"app", app},
-                         {"nodes", c.nodes},
-                         {"shards", c.shards},
-                         {"secs", c.secs},
-                         {"events", c.events},
-                         {"events_per_sec", c.eps},
-                         {"speedup_vs_serial", c.speedup},
-                         {"peak_rss_kb", c.peakRssKb},
-                         {"rss_per_node_kb", c.rssPerNodeKb}});
+                    if (!rr.completed) {
+                        std::fprintf(stderr,
+                                     "FAIL: %s at %u nodes did not "
+                                     "complete\n",
+                                     app.c_str(), nodes);
+                        return 1;
+                    }
                 }
+
+                const double eps = r.events / secs;
+                const std::uint64_t peakRssKb = procStatusKb("VmHWM");
+                std::printf("%-6s  %6u  %8.3f  %12llu  %14.0f  %9lluK\n",
+                            app.c_str(), nodes, secs,
+                            static_cast<unsigned long long>(r.events),
+                            eps,
+                            static_cast<unsigned long long>(peakRssKb));
+                ctx.report.row({{"app", app},
+                                {"nodes", nodes},
+                                {"secs", secs},
+                                {"events", r.events},
+                                {"events_per_sec", eps},
+                                {"peak_rss_kb", peakRssKb}});
             }
         }
         return 0;

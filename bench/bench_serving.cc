@@ -330,7 +330,6 @@ main(int argc, char **argv)
                     {{"section", "serving_" + app},
                      {"app", app},
                      {"nodes", ctx.machine.nodes},
-                     {"shards", ctx.machine.parShards},
                      {"secs", secs},
                      {"events", events},
                      {"events_per_sec", eps}});

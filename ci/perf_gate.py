@@ -5,7 +5,7 @@ Compares a freshly produced bench report against the baseline checked
 into bench/baselines/ and fails (exit 1) when any row's events/sec
 regressed by more than the threshold (default 10%).
 
-Rows are matched by their identity cells (section/app/nodes/shards —
+Rows are matched by their identity cells (section/app/nodes —
 whichever the bench emits); the compared metric is events_per_sec.
 Because CI runners and developer machines differ wildly in absolute
 speed, the default mode normalizes: every baseline row is scaled by
@@ -31,7 +31,7 @@ import json
 import statistics
 import sys
 
-IDENTITY_KEYS = ("section", "app", "nodes", "shards")
+IDENTITY_KEYS = ("section", "app", "nodes")
 METRIC = "events_per_sec"
 
 

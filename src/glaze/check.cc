@@ -92,7 +92,7 @@ void
 InvariantChecker::report(Scalar &counter, const std::string &msg)
 {
     ++counter;
-    warn("invariant violation @", m_.checkTime(), ": ", msg);
+    warn("invariant violation @", m_.now(), ": ", msg);
     if (cfg_.fatal)
         fugu_fatal("invariant violation (check.fatal=true): ", msg);
 }
@@ -107,7 +107,6 @@ InvariantChecker::onInject(const net::Packet &pkt)
     // semantics to verify.
     if (pkt.gid == kKernelGid)
         return;
-    auto lock = lockIfParallel();
     const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
     pending_.emplace(pkt.seq,
                      PendingMsg{cfg_.content ? checksum(pkt) : 0,
@@ -117,7 +116,7 @@ InvariantChecker::onInject(const net::Packet &pkt)
     // accrue nothing.
     GidState &g = gids_[pkt.gid];
     if (g.pending++ == 0)
-        g.pendingSince = m_.checkTime();
+        g.pendingSince = m_.now();
 }
 
 void
@@ -126,7 +125,6 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
 {
     if (!cfg_.enabled || pkt.gid == kKernelGid)
         return;
-    auto lock = lockIfParallel();
 
     if (pkt.gid != receiver_gid)
         report(stats.gidViolations,
@@ -138,8 +136,7 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
                detail::concat("packet for node ", pkt.dst,
                          " consumed on node ", node));
 
-    noteService(gids_[pkt.gid], pkt.gid, m_.checkTime(),
-                buffered_path);
+    noteService(gids_[pkt.gid], pkt.gid, m_.now(), buffered_path);
 
     auto it = pending_.find(pkt.seq);
     if (it == pending_.end()) {
@@ -171,23 +168,8 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
     ++stats.checkedDeliveries;
 
     ++deliveries_;
-    if (cfg_.sweepEvery && deliveries_ % cfg_.sweepEvery == 0) {
-        // A sweep reads every shard's frame pools and vbufs; under
-        // the parallel engine that is only safe at a phase barrier.
-        if (parallel_)
-            sweepPending_ = true;
-        else
-            sweepConservation();
-    }
-}
-
-void
-InvariantChecker::barrierSweep()
-{
-    if (!cfg_.enabled || !sweepPending_)
-        return;
-    sweepPending_ = false;
-    sweepConservation();
+    if (cfg_.sweepEvery && deliveries_ % cfg_.sweepEvery == 0)
+        sweepConservation();
 }
 
 void
@@ -195,7 +177,6 @@ InvariantChecker::onDrop(const net::Packet &pkt, NodeId node)
 {
     if (!cfg_.enabled || pkt.gid == kKernelGid)
         return;
-    auto lock = lockIfParallel();
     (void)node;
     // A kernel-policy drop (no process owns the GID here) retires the
     // message's slot in its stream so later deliveries — if a process
@@ -219,7 +200,6 @@ InvariantChecker::onDispatch(Process &p, bool buffered_path)
 {
     if (!cfg_.enabled)
         return;
-    auto lock = lockIfParallel();
 
     // Handler atomicity (Section 3): a direct-path handler runs with
     // the hardware atomic section on; a buffered-path handler runs
@@ -289,7 +269,6 @@ InvariantChecker::noteService(GidState &g, Gid gid, Cycle now,
 InvariantChecker::GidIsolation
 InvariantChecker::isolation(Gid gid) const
 {
-    auto lock = lockIfParallel();
     const auto it = gids_.find(gid);
     return it == gids_.end() ? GidIsolation{} : it->second.iso;
 }
@@ -352,21 +331,16 @@ InvariantChecker::finalChecks()
 
     // Per-cause Divert trace events must sum to the kernels'
     // bufferInserts counters — every software-buffered insertion is
-    // attributed to exactly one cause. Only checkable when every
-    // shard's ring kept every event.
-    const auto &tracers = m_.allTracers();
-    if (tracers.empty())
+    // attributed to exactly one cause. Only checkable when the ring
+    // kept every event.
+    const trace::Recorder *tr = m_.tracer();
+    if (!tr || tr->buffer().dropped() != 0)
         return;
+    const trace::TraceBuffer &buf = tr->buffer();
     std::uint64_t diverts = 0;
-    for (const auto &tr : tracers) {
-        const trace::TraceBuffer &buf = tr->buffer();
-        if (buf.dropped() != 0)
-            return;
-        for (std::size_t i = 0; i < buf.size(); ++i)
-            if (buf[i].type ==
-                static_cast<std::uint8_t>(trace::Type::Divert))
-                ++diverts;
-    }
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        if (buf[i].type == static_cast<std::uint8_t>(trace::Type::Divert))
+            ++diverts;
     double inserts = 0;
     for (NodeId n = 0; n < m_.nodeCount(); ++n)
         inserts += m_.node(n).kernel.stats.bufferInserts.value();

@@ -36,7 +36,6 @@
 #define FUGU_GLAZE_CHECK_HH
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
 #include "net/packet.hh"
@@ -113,17 +112,6 @@ class InvariantChecker final : public net::PacketWatcher
      */
     void finalChecks();
 
-    /**
-     * Parallel (bound-weave) engine: hooks then arrive from several
-     * shard threads at once, so they serialize on a mutex, and
-     * machine-wide conservation sweeps (which read every shard's
-     * frame pools) defer to the next phase barrier.
-     */
-    void setParallel(bool on) { parallel_ = on; }
-
-    /** Run any deferred conservation sweep; phase-barrier context. */
-    void barrierSweep();
-
     /** Total violations of any class seen so far. */
     double totalViolations() const;
 
@@ -182,14 +170,6 @@ class InvariantChecker final : public net::PacketWatcher
     void report(Scalar &counter, const std::string &msg);
     void sweepConservation();
 
-    /** Hook-entry guard: locks only when the engine is parallel. */
-    std::unique_lock<std::mutex>
-    lockIfParallel() const
-    {
-        return parallel_ ? std::unique_lock<std::mutex>(mu_)
-                         : std::unique_lock<std::mutex>();
-    }
-
     struct PendingMsg
     {
         std::uint64_t checksum;
@@ -222,9 +202,6 @@ class InvariantChecker final : public net::PacketWatcher
     std::unordered_map<Gid, GidState> gids_;
 
     std::uint64_t deliveries_ = 0;
-    bool parallel_ = false;
-    bool sweepPending_ = false;
-    mutable std::mutex mu_;
 };
 
 } // namespace fugu::glaze

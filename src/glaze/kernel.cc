@@ -112,7 +112,7 @@ Kernel::atomicity() const
 trace::Recorder *
 Kernel::tracer() const
 {
-    return m_.tracerFor(id_);
+    return m_.tracer();
 }
 
 void
@@ -296,7 +296,7 @@ exec::Task
 Kernel::upcallBody(Process *p, net::MsgVec saved_output)
 {
     bool skip_dispatch = false;
-    if (auto *f = m_.faultFor(id_); f && f->drawHandlerPageFault()) {
+    if (auto *f = m_.fault(); f && f->drawHandlerPageFault()) {
         co_await injectHandlerFault(p);
         // The fault fired inside the upcall's atomic section, so it
         // revoked interrupt-disable and diverted the pending message
@@ -550,7 +550,7 @@ Kernel::drainBody(Process *p)
     // no other application thread can interleave with one.
     while (p->buffered && !p->atomicGate &&
            p->port().messageAvailable()) {
-        if (auto *f = m_.faultFor(id_); f && f->drawHandlerPageFault()) {
+        if (auto *f = m_.fault(); f && f->drawHandlerPageFault()) {
             co_await injectHandlerFault(p);
             // Re-check the loop conditions: servicing the fault may
             // have swapped buffer pages or gated the drain.

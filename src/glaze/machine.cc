@@ -26,12 +26,6 @@ bindConfig(sim::Binder &b, MachineConfig &c)
         b.item("pinned_buffer_pages", c.pinnedBufferPages,
                "ablation: frames pinned per process at creation",
                "pages");
-        b.item("par_shards", c.parShards,
-               "parallel engine shards (1 = serial oracle)");
-        b.item("lookahead", c.lookahead,
-               "bound-phase lookahead (0 = derive from min network "
-               "latency)",
-               "cycles");
         b.item("seed", c.seed, "base RNG seed");
     }
     {
@@ -80,31 +74,14 @@ bindConfig(sim::Binder &b, GangConfig &c)
            "fraction");
 }
 
-Machine::Node::Node(Machine &m, NodeId id, EventQueue &eq)
-    : cpu(eq, id, &m.root),
+Machine::Node::Node(Machine &m, NodeId id)
+    : cpu(m.eq, id, &m.root),
       ni(cpu, m.net, id, m.cfg.ni, &m.root),
       frames(m.cfg.framesPerNode, &m.root, id),
       osnic(cpu, m.osnet, id),
       kernel(m, id)
 {
 }
-
-namespace
-{
-
-/**
- * Cheapest possible cross-node delivery on a network: the smallest
- * message (header + one payload word) travelling exactly one hop.
- * This bounds how far ahead of the global floor a shard may run
- * without being able to miss a cross-shard arrival.
- */
-Cycle
-minCrossNodeLatency(const net::NetworkConfig &c)
-{
-    return c.latencyBase + c.perHop + c.perWord * 2;
-}
-
-} // namespace
 
 MachineConfig
 Machine::fix(MachineConfig cfg)
@@ -131,101 +108,45 @@ Machine::fix(MachineConfig cfg)
 }
 
 Machine::Machine(MachineConfig cfg_in)
-    : cfg(fix(std::move(cfg_in))),
-      shards_{cfg.nodes,
-              std::min(std::max(cfg.parShards, 1u), cfg.nodes)},
-      root("machine"), rng(cfg.seed),
+    : cfg(fix(std::move(cfg_in))), root("machine"), rng(cfg.seed),
       net(eq, cfg.net, "net_user", &root),
       osnet(eq, cfg.osNet, "net_os", &root)
 {
-    const unsigned S = shards_.shards;
-    shardEq_.push_back(&eq);
-    for (unsigned s = 1; s < S; ++s) {
-        extraEqs_.push_back(std::make_unique<EventQueue>());
-        shardEq_.push_back(extraEqs_.back().get());
-    }
-    phaseEvents_.assign(S, 0);
-    for (EventQueue *q : shardEq_)
-        q->setBatchFire(cfg.batchFire);
-
-    // The bound phase may run a shard up to lookahead-1 cycles past
-    // the global floor, so the lookahead must never exceed the fastest
-    // possible cross-node delivery (else a shard could blow past an
-    // arrival staged by a peer). Derive that bound; explicit values
-    // only ever shorten phases.
-    const Cycle min_lat =
-        std::max<Cycle>(1, std::min(minCrossNodeLatency(cfg.net),
-                                    minCrossNodeLatency(cfg.osNet)));
-    lookahead_ = cfg.lookahead == 0
-                     ? min_lat
-                     : std::clamp<Cycle>(cfg.lookahead, 1, min_lat);
-
-    if (S > 1) {
-        net.setParallel(&shards_, shardEq_);
-        osnet.setParallel(&shards_, shardEq_);
-        // Nested machines (the harness fans trials out over worker
-        // threads) stay serial-fallback: shard phases share nothing
-        // mutable, so one thread or many is bit-identical.
-        const unsigned want = std::min(S, sim::defaultWorkerThreads());
-        if (!sim::onWorkerThread() && want > 1)
-            pool_ = std::make_unique<sim::WorkerPool>(want - 1);
-    }
+    fugu_assert(cfg.parShards == 1, "parShards=", cfg.parShards,
+                ": a machine runs on one event queue");
+    eq.setBatchFire(cfg.batchFire);
 
     if (cfg.trace.enabled)
-        for (unsigned s = 0; s < S; ++s)
-            tracers_.push_back(std::make_unique<trace::Recorder>(
-                *shardEq_[s], cfg.trace));
-    net.setTracer(tracerAt(0), /*os_net=*/false);
-    osnet.setTracer(tracerAt(0), /*os_net=*/true);
-    for (unsigned s = 1; s < S; ++s) {
-        net.setLaneTracer(s, tracerAt(s));
-        osnet.setLaneTracer(s, tracerAt(s));
-    }
+        tracer_ = std::make_unique<trace::Recorder>(eq, cfg.trace);
+    net.setTracer(tracer_.get(), /*os_net=*/false);
+    osnet.setTracer(tracer_.get(), /*os_net=*/true);
 
     for (NodeId n = 0; n < cfg.nodes; ++n) {
-        Node &node = nodes.emplace_back(*this, n, queueFor(n));
-        node.cpu.setTracer(tracerFor(n));
-        node.ni.setTracer(tracerFor(n));
-        node.osnic.setTracer(tracerFor(n));
+        Node &node = nodes.emplace_back(*this, n);
+        node.cpu.setTracer(tracer_.get());
+        node.ni.setTracer(tracer_.get());
+        node.osnic.setTracer(tracer_.get());
     }
     pinnedFrames_.assign(cfg.nodes, 0);
 
     // The checker watches the user network only: OS-net messages are
     // kernel protocol with no application delivery semantics.
     checker_ = std::make_unique<InvariantChecker>(*this, cfg.check);
-    checker_->setParallel(S > 1);
     net.setWatcher(checker_.get());
     for (auto &node : nodes)
         node.ni.setWatcher(checker_.get());
 
     if (cfg.fault.enabled) {
-        // One injector per shard so draws stay inside each shard's
-        // single-threaded event loop. Shard 0 reuses the serial
-        // machine's exact seeds (the S=1 build is the bit-exact
-        // oracle); the others salt both seed paths per shard.
-        for (unsigned s = 0; s < S; ++s) {
-            sim::FaultConfig fc = cfg.fault;
-            std::uint64_t mseed = cfg.seed;
-            if (s > 0) {
-                const std::uint64_t salt = 0x9e3779b97f4a7c15ull * s;
-                mseed ^= salt;
-                if (fc.seed)
-                    fc.seed += salt;
-            }
-            faults_.push_back(std::make_unique<sim::FaultInjector>(
-                *shardEq_[s], fc, mseed, cfg.nodes,
-                s == 0 ? &root : nullptr));
-            faults_.back()->setInputRetry(
-                [this](NodeId n) { net.onSinkSpaceFreed(n); });
-        }
+        fault_ = std::make_unique<sim::FaultInjector>(
+            eq, cfg.fault, cfg.seed, cfg.nodes, &root);
+        fault_->setInputRetry(
+            [this](NodeId n) { net.onSinkSpaceFreed(n); });
         // Like the checker, faults hit the user network/NI/frames
         // only — the OS network must stay guaranteed deadlock-free.
-        net.setFault(faultAt(0));
-        for (unsigned s = 1; s < S; ++s)
-            net.setLaneFault(s, faultAt(s));
-        for (NodeId n = 0; n < cfg.nodes; ++n) {
-            nodes[n].ni.setFault(faultFor(n));
-            nodes[n].frames.setFault(faultFor(n));
+        net.setFault(fault_.get());
+        for (auto &node : nodes) {
+            node.ni.setFault(fault_.get());
+            node.frames.setFault(fault_.get());
         }
         for (NodeId n = 0; n < cfg.nodes; ++n)
             scheduleFaultTick(n, 1);
@@ -272,7 +193,7 @@ Machine::addJob(std::string name, AppBody body)
             else
                 warn("node ", n, ": could not pin buffer page ", f);
         }
-        proc->setTracer(tracerFor(n));
+        proc->setTracer(tracer_.get());
         proc->setChecker(checker_.get());
         job->procs.push_back(proc.get());
         proc->threads().spawn(job->name() + "-main", rt::kPrioNormal,
@@ -335,14 +256,13 @@ Machine::scheduleFaultTick(NodeId node, std::uint64_t k)
     // The draw order within a tick is fixed, and every class draws on
     // every tick (rates of zero skip the RNG entirely), so a given
     // (seed, config) pair replays bit-identically.
-    queueFor(node).scheduleFn(
+    eq.scheduleFn(
         [this, node, k] {
-            sim::FaultInjector *f = faultFor(node);
-            if (f->drawOutputDeny())
-                f->openOutputWindow(node);
-            if (f->drawDivertStorm())
+            if (fault_->drawOutputDeny())
+                fault_->openOutputWindow(node);
+            if (fault_->drawDivertStorm())
                 nodes[node].kernel.forceDivert();
-            if (f->drawAtomTimeout())
+            if (fault_->drawAtomTimeout())
                 nodes[node].ni.injectAtomicityTimeout();
             scheduleFaultTick(node, k + 1);
         },
@@ -353,7 +273,7 @@ void
 Machine::scheduleBoundary(NodeId node, std::uint64_t k)
 {
     const Cycle when = k * gang_.quantum + gangOffset_[node];
-    queueFor(node).scheduleFn(
+    eq.scheduleFn(
         [this, node, k] {
             nodes[node].kernel.requestSwitch(pickGangTarget(node, k));
             scheduleBoundary(node, k + 1);
@@ -361,87 +281,18 @@ Machine::scheduleBoundary(NodeId node, std::uint64_t k)
         when, "gang-boundary");
 }
 
-Cycle
-Machine::nextEventFloor()
-{
-    Cycle floor = kMaxCycle;
-    for (EventQueue *q : shardEq_)
-        floor = std::min(floor, q->nextTime());
-    return floor;
-}
-
-void
-Machine::runPhase(Cycle floor, Cycle limit)
-{
-    // Events in [floor, floor + lookahead) are safe to run without
-    // hearing from other shards: any cross-shard message injected at
-    // or after the floor arrives at floor + minimum-latency at the
-    // earliest, and the lookahead never exceeds that minimum.
-    const Cycle horizon = std::min(floor + lookahead_ - 1, limit);
-    phaseBound_.store(horizon, std::memory_order_relaxed);
-    auto bound = [this, horizon](std::size_t s) {
-        phaseEvents_[s] += shardEq_[s]->run(horizon);
-    };
-    // Waking the pool costs more than running a near-empty phase
-    // inline: with a latency-bounded lookahead many phases hold work
-    // for a single shard, so dispatch wide only when at least two
-    // shards have an event inside the horizon. Which thread runs a
-    // shard never affects what it computes, so this keeps results
-    // bit-identical to always-wide dispatch.
-    unsigned busy = 0;
-    for (unsigned s = 0; s < shards_.shards && busy < 2; ++s)
-        if (shardEq_[s]->nextTime() <= horizon)
-            ++busy;
-    if (pool_ && busy > 1)
-        pool_->run(shards_.shards, bound);
-    else
-        for (unsigned s = 0; s < shards_.shards; ++s)
-            bound(s);
-    for (unsigned s = 0; s < shards_.shards; ++s) {
-        eventsRun_ += phaseEvents_[s];
-        phaseEvents_[s] = 0;
-    }
-    // Every queue's clock now sits exactly at the horizon, so the
-    // weave commits with dst.now() <= every staged arrival's ready.
-    net.weave();
-    osnet.weave();
-    if (checker_)
-        checker_->barrierSweep();
-}
-
-void
-Machine::finishRun()
-{
-    net.mergeLaneStats();
-    osnet.mergeLaneStats();
-}
-
 bool
 Machine::runUntilDone(const Job *job, Cycle max_cycles)
 {
     const Cycle limit = now() + max_cycles;
-    if (shards_.shards == 1) {
-        while (!job->done()) {
-            if (now() > limit)
-                return false;
-            if (!eq.runOne())
-                break; // queue drained
-            ++eventsRun_;
-        }
-    } else {
-        while (!job->done()) {
-            const Cycle floor = nextEventFloor();
-            if (floor == kMaxCycle)
-                break; // every shard queue drained
-            if (floor > limit) {
-                finishRun();
-                return false;
-            }
-            runPhase(floor, kMaxCycle);
-        }
-        finishRun();
+    while (!job->done()) {
+        if (now() > limit)
+            return false;
+        if (!eq.runOne())
+            break; // queue drained
+        ++eventsRun_;
     }
-    if (job->done() && checker_)
+    if (job->done())
         checker_->finalChecks();
     return job->done();
 }
@@ -449,22 +300,7 @@ Machine::runUntilDone(const Job *job, Cycle max_cycles)
 void
 Machine::run(Cycle until)
 {
-    if (shards_.shards == 1) {
-        eventsRun_ += eq.run(until);
-        return;
-    }
-    for (;;) {
-        const Cycle floor = nextEventFloor();
-        if (floor == kMaxCycle || floor > until)
-            break;
-        runPhase(floor, until);
-    }
-    // Match the serial contract: the clock lands on `until` even when
-    // the queues drained (or only hold later events).
-    if (until != kMaxCycle)
-        for (EventQueue *q : shardEq_)
-            q->run(until);
-    finishRun();
+    eventsRun_ += eq.run(until);
 }
 
 trace::TraceBuffer
@@ -472,25 +308,10 @@ Machine::mergedTrace() const
 {
     trace::TraceBuffer out(0);
     out.setTag(cfg.trace.runTag);
-    std::vector<std::size_t> idx(tracers_.size(), 0);
-    for (;;) {
-        std::size_t best = tracers_.size();
-        Cycle best_ts = kMaxCycle;
-        for (std::size_t s = 0; s < tracers_.size(); ++s) {
-            const trace::TraceBuffer &b = tracers_[s]->buffer();
-            if (idx[s] >= b.size())
-                continue;
-            // Strict < keeps the lowest shard on timestamp ties, so
-            // the merge is a pure function of the shard count.
-            if (best == tracers_.size() || b[idx[s]].ts < best_ts) {
-                best = s;
-                best_ts = b[idx[s]].ts;
-            }
-        }
-        if (best == tracers_.size())
-            break;
-        out.append(tracers_[best]->buffer()[idx[best]]);
-        ++idx[best];
+    if (tracer_) {
+        const trace::TraceBuffer &b = tracer_->buffer();
+        for (std::size_t i = 0; i < b.size(); ++i)
+            out.append(b[i]);
     }
     return out;
 }

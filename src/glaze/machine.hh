@@ -11,10 +11,9 @@
 #ifndef FUGU_GLAZE_MACHINE_HH
 #define FUGU_GLAZE_MACHINE_HH
 
-#include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,7 @@
 #include "net/network.hh"
 #include "sim/event.hh"
 #include "sim/fault.hh"
-#include "sim/pool.hh"
 #include "sim/rng.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
 
@@ -74,20 +71,10 @@ struct MachineConfig
     unsigned pinnedBufferPages = 0;
 
     /**
-     * Parallel engine: number of shards the nodes are partitioned
-     * across (contiguous blocks). 1 selects the serial engine — the
-     * bit-exact oracle. Values above the node count are clamped.
+     * Must be 1: a machine runs on one event queue. Not on the config
+     * tree; kept only because fugubench/fugubench.cc still sets it.
      */
     unsigned parShards = 1;
-
-    /**
-     * Bound-phase lookahead in cycles; 0 derives it from the minimum
-     * cross-node delivery latency of the two networks. Explicit
-     * values are clamped to [1, that minimum] so a scenario can
-     * shorten phases (more frequent weaves) but never break the
-     * causality guarantee.
-     */
-    Cycle lookahead = 0;
 
     /**
      * Engine: drain all same-cycle events per calendar-bucket touch
@@ -144,7 +131,7 @@ class Machine
 
     struct Node
     {
-        Node(Machine &m, NodeId id, EventQueue &eq);
+        Node(Machine &m, NodeId id);
 
         exec::Cpu cpu;
         core::NetIf ni;
@@ -153,98 +140,35 @@ class Machine
         Kernel kernel;
     };
 
-    /**
-     * Current simulated cycle: the minimum across shard clocks (the
-     * machine has reached a cycle only once every shard has). With
-     * one shard this is exactly the event queue's clock. Serial
-     * contexts only — do not call from inside a bound phase.
-     */
-    Cycle
-    now() const
-    {
-        Cycle t = eq.now();
-        for (const auto &q : extraEqs_)
-            t = std::min(t, q->now());
-        return t;
-    }
+    /** Current simulated cycle. */
+    Cycle now() const { return eq.now(); }
 
     unsigned nodeCount() const { return cfg.nodes; }
     Node &node(NodeId id) { return nodes[id]; }
 
-    /// @name Parallel engine
-    /// @{
-
-    /** Shards the machine actually runs with (1 = serial oracle). */
-    unsigned shardCount() const { return shards_.shards; }
-
-    /** Shard owning node @p n. */
-    unsigned shardOf(NodeId n) const { return shards_.of(n); }
-
-    /** The event queue node @p n's events run on. */
-    EventQueue &queueFor(NodeId n) { return *shardEq_[shards_.of(n)]; }
-
-    /** Effective bound-phase lookahead (after derivation/clamping). */
-    Cycle lookahead() const { return lookahead_; }
-
     /** Events processed by runUntilDone / run so far. */
     std::uint64_t eventsProcessed() const { return eventsRun_; }
 
-    /**
-     * A cycle stamp safe to read from any shard thread (the current
-     * phase's bound). Serial machines report the exact clock. Used by
-     * the invariant checker's diagnostics.
-     */
-    Cycle
-    checkTime() const
-    {
-        return shards_.shards == 1
-                   ? eq.now()
-                   : phaseBound_.load(std::memory_order_relaxed);
-    }
-
-    /// @}
-
-    /** The trace recorder, or null when tracing is disabled. The
-     *  parallel engine records per shard; this is shard 0's. */
-    trace::Recorder *tracer() const { return tracerAt(0); }
-
-    /** The recorder node @p n's components log to (null if off). */
-    trace::Recorder *
-    tracerFor(NodeId n) const
-    {
-        return tracerAt(shards_.of(n));
-    }
-
-    /** All per-shard recorders (empty when tracing is disabled). */
-    const std::vector<std::unique_ptr<trace::Recorder>> &
-    allTracers() const
-    {
-        return tracers_;
-    }
+    /** The trace recorder, or null when tracing is disabled. */
+    trace::Recorder *tracer() const { return tracer_.get(); }
 
     /**
-     * The union of the per-shard trace buffers, merged in (timestamp,
-     * shard) order — deterministic for a fixed shard count. With one
-     * shard this is a copy of the single buffer.
+     * The retained trace events, copied into an unbounded buffer with
+     * the run tag (empty when tracing is disabled).
      */
     trace::TraceBuffer mergedTrace() const;
 
-    /** The fault injector, or null when fault.enabled is false. The
-     *  parallel engine injects per shard; this is shard 0's. */
-    sim::FaultInjector *fault() const { return faultAt(0); }
+    /** The fault injector, or null when fault.enabled is false. */
+    sim::FaultInjector *fault() const { return fault_.get(); }
 
-    /** The injector perturbing node @p n (null when faults are off). */
-    sim::FaultInjector *
-    faultFor(NodeId n) const
-    {
-        return faultAt(shards_.of(n));
-    }
-
-    /** All per-shard injectors (empty when fault.enabled is false). */
-    const std::vector<std::unique_ptr<sim::FaultInjector>> &
+    /**
+     * The fault injector as a range of at most one element; kept for
+     * fugubench/fugubench.cc, its last user.
+     */
+    std::span<const std::unique_ptr<sim::FaultInjector>>
     allFaults() const
     {
-        return faults_;
+        return {&fault_, fault_ ? 1u : 0u};
     }
 
     /** The invariant checker (always present; may be disabled). */
@@ -273,16 +197,12 @@ class Machine
     void startGang(GangConfig gcfg);
 
     /**
-     * Run until @p job finishes. With machine.par_shards > 1 this is
-     * the bound-weave loop: every phase runs each shard's queue in
-     * parallel up to a global horizon (the earliest pending event
-     * anywhere plus the lookahead), then commits cross-shard packet
-     * handoffs in fixed shard order.
+     * Run until @p job finishes.
      * @return false on cycle-limit exhaustion (likely deadlock).
      */
     bool runUntilDone(const Job *job, Cycle max_cycles = 2000000000ull);
 
-    /** Run until the event queues drain or @p until passes. */
+    /** Run until the event queue drains or @p until passes. */
     void run(Cycle until = kMaxCycle);
 
     /**
@@ -295,22 +215,17 @@ class Machine
 
     MachineConfig cfg;
     EventQueue eq;
-
-  private:
-    // The shard queues are declared right after the primary queue so
-    // every queue outlives the networks and nodes scheduling on them.
-    sim::ShardMap shards_;
-    std::vector<std::unique_ptr<EventQueue>> extraEqs_; // shards 1..
-    std::vector<EventQueue *> shardEq_;                 // [0] == &eq
-
-  public:
     StatGroup root;
     Rng rng;
-    // Declared before the networks and nodes so they outlive them.
-    std::vector<std::unique_ptr<trace::Recorder>> tracers_; // per shard
-    // Same lifetime rule: nets and NIs hold raw pointers to these.
-    std::vector<std::unique_ptr<sim::FaultInjector>> faults_; // per shard
+
+  private:
+    // Declared before the networks and nodes, which hold raw pointers
+    // to them, so they outlive them.
+    std::unique_ptr<trace::Recorder> tracer_;
+    std::unique_ptr<sim::FaultInjector> fault_;
     std::unique_ptr<InvariantChecker> checker_;
+
+  public:
     net::Network net;
     net::Network osnet;
     std::deque<Node> nodes; // deque: Node is pinned (non-movable)
@@ -318,36 +233,11 @@ class Machine
     std::vector<std::unique_ptr<Process>> processes;
 
   private:
-    trace::Recorder *
-    tracerAt(unsigned shard) const
-    {
-        return tracers_.empty() ? nullptr : tracers_[shard].get();
-    }
-
-    sim::FaultInjector *
-    faultAt(unsigned shard) const
-    {
-        return faults_.empty() ? nullptr : faults_[shard].get();
-    }
-
-    /** Earliest pending event across shard queues (kMaxCycle = none). */
-    Cycle nextEventFloor();
-
-    /** One bound phase up to min(floor + lookahead, limit) + weave. */
-    void runPhase(Cycle floor, Cycle limit);
-
-    /** Flush staged traffic and fold lane stats (parallel runs). */
-    void finishRun();
-
     void scheduleBoundary(NodeId node, std::uint64_t k);
     void scheduleFaultTick(NodeId node, std::uint64_t k);
     Process *pickGangTarget(NodeId node, std::uint64_t k);
 
-    std::unique_ptr<sim::WorkerPool> pool_;
-    Cycle lookahead_ = 1;
     std::uint64_t eventsRun_ = 0;
-    std::vector<std::uint64_t> phaseEvents_; // per shard, per phase
-    std::atomic<Cycle> phaseBound_{0};
 
     GangConfig gang_;
     bool gangRunning_ = false;

@@ -11,7 +11,6 @@
 #ifndef FUGU_GLAZE_PROCESS_HH
 #define FUGU_GLAZE_PROCESS_HH
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,11 +187,7 @@ class Job
     const std::string &name() const { return name_; }
 
     /** All node mains have returned. */
-    bool
-    done() const
-    {
-        return doneNodes_.load(std::memory_order_acquire) == nodes_;
-    }
+    bool done() const { return doneNodes_ == nodes_; }
 
     void nodeDone(NodeId node);
 
@@ -205,9 +200,7 @@ class Job
     Gid gid_;
     std::string name_;
     unsigned nodes_;
-    // Node mains finish on their shard's thread under the parallel
-    // engine; the run loop polls done() from the machine thread.
-    std::atomic<unsigned> doneNodes_{0};
+    unsigned doneNodes_ = 0;
 };
 
 } // namespace fugu::glaze

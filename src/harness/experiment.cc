@@ -1,11 +1,13 @@
 #include "harness/experiment.hh"
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "sim/log.hh"
-#include "sim/pool.hh"
 #include "trace/export.hh"
 
 namespace fugu::harness
@@ -13,6 +15,44 @@ namespace fugu::harness
 
 using namespace fugu::apps;
 using namespace fugu::glaze;
+
+namespace
+{
+
+/** Set on parallelFor's threads (the caller's too) while they work. */
+thread_local bool onWorker = false;
+
+/** Fault events a finished machine's injector fired (0 if none). */
+double
+faultEvents(const Machine &m)
+{
+    const sim::FaultInjector *f = m.fault();
+    if (!f)
+        return 0;
+    const auto &fs = f->stats;
+    return fs.jitteredPackets.value() + fs.inputBursts.value() +
+           fs.outputBursts.value() + fs.frameDenies.value() +
+           fs.divertStorms.value() + fs.timeoutStorms.value() +
+           fs.handlerFaults.value();
+}
+
+/**
+ * An AppFactory building @p make's app from a copy of @p cfg stamped
+ * with each call's seed. The copy is per call: runTrials hands one
+ * factory to every worker thread, so the closure must stay read-only.
+ */
+template <typename Cfg, typename Make>
+AppFactory
+seeded(const Cfg &cfg, Make make)
+{
+    return [cfg, make](unsigned n, std::uint64_t seed) {
+        Cfg c = cfg;
+        c.seed = seed;
+        return make(n, c);
+    };
+}
+
+} // namespace
 
 RunStats
 runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
@@ -37,26 +77,14 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
     out.completed = m.runUntilDone(job, max_cycles);
     if (!trace_path.empty()) {
         std::string err;
-        // With one shard the merge is a copy of the only buffer, so
-        // the file's bytes match the serial build's exactly.
-        const trace::TraceBuffer merged = m.mergedTrace();
-        if (!trace::writeTraceFiles(trace_path, merged, &err))
+        if (!trace::writeTraceFiles(trace_path, m.mergedTrace(), &err))
             warn("trace write failed: ", err);
     }
     // Collected even for incomplete runs: a hung stress run with
     // violations should report them, not hide them.
     out.violations = m.checker()->totalViolations();
     out.events = m.eventsProcessed();
-    for (const auto &f : m.allFaults()) {
-        const auto &fs = f->stats;
-        out.faultEvents += fs.jitteredPackets.value() +
-                           fs.inputBursts.value() +
-                           fs.outputBursts.value() +
-                           fs.frameDenies.value() +
-                           fs.divertStorms.value() +
-                           fs.timeoutStorms.value() +
-                           fs.handlerFaults.value();
-    }
+    out.faultEvents = faultEvents(m);
     if (!out.completed)
         return out;
     out.runtime = m.now() - job->startCycle;
@@ -115,16 +143,7 @@ runTenants(MachineConfig mcfg,
     out.violations = m.checker()->totalViolations();
     out.holBypasses = m.net.stats.headOfLineBypasses.value();
     out.events = m.eventsProcessed();
-    for (const auto &f : m.allFaults()) {
-        const auto &fs = f->stats;
-        out.faultEvents += fs.jitteredPackets.value() +
-                           fs.inputBursts.value() +
-                           fs.outputBursts.value() +
-                           fs.frameDenies.value() +
-                           fs.divertStorms.value() +
-                           fs.timeoutStorms.value() +
-                           fs.handlerFaults.value();
-    }
+    out.faultEvents = faultEvents(m);
 
     const trace::TraceBuffer merged = m.mergedTrace();
     std::vector<trace::TraceEvent> events;
@@ -160,7 +179,13 @@ runTenants(MachineConfig mcfg,
 unsigned
 workerCount()
 {
-    return sim::defaultWorkerThreads();
+    if (const char *env = std::getenv("FUGU_THREADS")) {
+        const long v = std::strtol(env, nullptr, 10);
+        if (v >= 1)
+            return static_cast<unsigned>(v);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 void
@@ -168,18 +193,28 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
     const unsigned nthreads =
         static_cast<unsigned>(std::min<std::size_t>(workerCount(), n));
-    // The worker flag is shared with the Machine's bound-weave pool:
-    // a Machine built inside a trial worker stays serial-fallback,
-    // and a parallelFor issued from a pool worker runs inline.
-    if (sim::onWorkerThread() || nthreads <= 1) {
+    // A parallelFor issued from one of our own threads runs inline,
+    // so nesting never multiplies the thread count.
+    if (onWorker || nthreads <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    sim::WorkerPool pool(nthreads - 1);
-    sim::setWorkerThread(true); // the calling thread participates
-    pool.run(n, fn);
-    sim::setWorkerThread(false);
+    // Spawn, run, join: the calling thread takes indices too, and the
+    // jthreads join even if fn throws on the calling thread.
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        onWorker = true;
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
+            fn(i);
+        onWorker = false;
+    };
+    std::vector<std::jthread> threads;
+    threads.reserve(nthreads - 1);
+    for (unsigned t = 1; t < nthreads; ++t)
+        threads.emplace_back(work);
+    work();
 }
 
 std::vector<RunStats>
@@ -354,74 +389,50 @@ Workloads::names()
 AppFactory
 Workloads::factory(const std::string &name) const
 {
-    if (name == "barnes") {
-        return [cfg = barnes](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeBarnesApp(n, cfg);
-        };
-    }
-    if (name == "water") {
-        return [cfg = water](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeWaterApp(n, cfg);
-        };
-    }
-    if (name == "lu") {
-        return [cfg = lu](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeLuApp(n, cfg);
-        };
-    }
-    if (name == "barrier") {
-        return [cfg = barrier](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeBarrierApp(n, cfg);
-        };
-    }
-    if (name == "enum") {
-        return [cfg = enumerate](unsigned n,
-                                 std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeEnumApp(n, cfg, nullptr);
-        };
-    }
-    if (name == "synth") {
-        return [cfg = synth](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeSynthApp(n, cfg);
-        };
-    }
-    if (name == "hog") {
-        return [cfg = hog](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeHogApp(n, cfg);
-        };
-    }
-    if (name == "abuser") {
-        return [cfg = abuser](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeAbuserApp(n, cfg);
-        };
-    }
-    if (name == "squatter") {
-        return [cfg = squatter](unsigned n,
-                                std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeSquatterApp(n, cfg);
-        };
-    }
-    if (name == "covert_tx") {
-        return [cfg = covert](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeCovertTxApp(n, cfg);
-        };
-    }
-    if (name == "covert_rx") {
-        return [cfg = covert](unsigned n, std::uint64_t seed) mutable {
-            cfg.seed = seed;
-            return makeCovertRxApp(n, cfg, nullptr);
-        };
-    }
+    if (name == "barnes")
+        return seeded(barnes, [](unsigned n, const BarnesAppConfig &c) {
+            return makeBarnesApp(n, c);
+        });
+    if (name == "water")
+        return seeded(water, [](unsigned n, const WaterAppConfig &c) {
+            return makeWaterApp(n, c);
+        });
+    if (name == "lu")
+        return seeded(lu, [](unsigned n, const LuAppConfig &c) {
+            return makeLuApp(n, c);
+        });
+    if (name == "barrier")
+        return seeded(barrier, [](unsigned n, const BarrierAppConfig &c) {
+            return makeBarrierApp(n, c);
+        });
+    if (name == "enum")
+        return seeded(enumerate, [](unsigned n, const EnumAppConfig &c) {
+            return makeEnumApp(n, c);
+        });
+    if (name == "synth")
+        return seeded(synth, [](unsigned n, const SynthAppConfig &c) {
+            return makeSynthApp(n, c);
+        });
+    if (name == "hog")
+        return seeded(hog, [](unsigned n, const HogAppConfig &c) {
+            return makeHogApp(n, c);
+        });
+    if (name == "abuser")
+        return seeded(abuser, [](unsigned n, const AbuserAppConfig &c) {
+            return makeAbuserApp(n, c);
+        });
+    if (name == "squatter")
+        return seeded(squatter, [](unsigned n, const SquatterAppConfig &c) {
+            return makeSquatterApp(n, c);
+        });
+    if (name == "covert_tx")
+        return seeded(covert, [](unsigned n, const CovertAppConfig &c) {
+            return makeCovertTxApp(n, c);
+        });
+    if (name == "covert_rx")
+        return seeded(covert, [](unsigned n, const CovertAppConfig &c) {
+            return makeCovertRxApp(n, c);
+        });
     fugu_fatal("unknown workload '", name, "'");
 }
 

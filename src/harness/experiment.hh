@@ -95,7 +95,7 @@ RunStats runJob(glaze::MachineConfig mcfg, const AppFactory &app,
 
 /**
  * Average of @p trials runs differing only in seed. Trials run in
- * parallel on the worker pool (each builds its own machine and event
+ * parallel via parallelFor (each builds its own machine and event
  * queue), but results are accumulated in seed order, so the returned
  * stats are bit-identical to a serial run. A non-empty @p trace_path
  * traces the first trial (deterministically, whatever FUGU_THREADS).
@@ -155,11 +155,13 @@ runTenants(glaze::MachineConfig mcfg,
 unsigned workerCount();
 
 /**
- * Invoke @p fn(i) for every i in [0, n) on the worker pool. Calls for
- * distinct indices may run concurrently, so @p fn must only touch
- * per-index state (e.g. slot i of a pre-sized result vector). Nested
- * calls run serially on the calling worker, keeping the total thread
- * count bounded; FUGU_THREADS=1 forces fully serial execution.
+ * Invoke @p fn(i) for every i in [0, n) on up to workerCount()
+ * threads, the calling thread among them; returns once every call
+ * has. Calls for distinct indices may run concurrently, so @p fn must
+ * only touch per-index state (e.g. slot i of a pre-sized result
+ * vector). Nested calls run serially on the calling thread, keeping
+ * the total thread count bounded; FUGU_THREADS=1 forces fully serial
+ * execution.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
@@ -168,7 +170,7 @@ void parallelFor(std::size_t n,
 using JobFn = std::function<RunStats()>;
 
 /**
- * Run independent jobs on a thread pool and return their results in
+ * Run independent jobs via parallelFor and return their results in
  * input order. Jobs share no mutable state (each builds a private
  * Machine/EventQueue), so the result vector is bit-identical to
  * running the jobs serially. Nested calls — a job that itself calls

@@ -1,5 +1,8 @@
 #include "net/network.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/config.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
@@ -40,13 +43,10 @@ Network::Stats::Stats(StatGroup *parent, const std::string &name)
 Network::Network(EventQueue &eq, NetworkConfig cfg, std::string name,
                  StatGroup *stat_parent)
     : stats(stat_parent, name), eq_(eq), cfg_(cfg),
-      name_(std::move(name)), arriveName_(name_ + "-arrive"),
-      chans_(1), laneSeq_(1, 0), outbox_(1), releases_(1),
-      weaveCount_(1, 0), scratch_(1), bypassScratch_(1),
-      laneEq_{&eq_}, laneTracer_(1, nullptr), laneFault_(1, nullptr)
+      name_(std::move(name)), arriveName_(name_ + "-arrive")
 {
     fugu_assert(cfg_.meshX > 0 && cfg_.meshY > 0, "empty mesh");
-    // key() packs node ids into 16 bits per endpoint; a mesh whose
+    // channelKey() packs node ids into 16 bits per endpoint; a mesh whose
     // addresses exceed NodeId would alias channels (and kNoNode must
     // stay out of the address space). Fail loudly instead.
     fugu_assert(static_cast<std::uint64_t>(cfg_.meshX) * cfg_.meshY <=
@@ -87,14 +87,14 @@ Network::latency(NodeId src, NodeId dst, unsigned words) const
            cfg_.perWord * words;
 }
 
-Network::Channel &
-Network::ChannelMap::getOrCreate(ChannelKey k)
+Channel &
+ChannelMap::getOrCreate(ChannelKey k)
 {
     // Grow at ~70% load so probe chains stay short.
     if (slots_.empty() || (size_ + 1) * 10 >= slots_.size() * 7)
         grow();
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(k);; ++i) {
+    for (std::size_t i = home(k);; ++i) {
         Slot &s = slots_[i & mask];
         if (!s.used) {
             s.used = true;
@@ -108,57 +108,40 @@ Network::ChannelMap::getOrCreate(ChannelKey k)
 }
 
 void
-Network::ChannelMap::grow()
+ChannelMap::grow()
 {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
     const std::size_t mask = slots_.size() - 1;
     for (Slot &s : old) {
         if (!s.used)
             continue;
-        std::size_t i = hash(s.key);
+        std::size_t i = home(s.key);
         while (slots_[i & mask].used)
             ++i;
         slots_[i & mask] = s;
     }
 }
 
+std::size_t
+ChannelMap::maxProbe() const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        if (slots_[i].used)
+            longest = std::max(longest,
+                               ((i - home(slots_[i].key)) & mask) + 1);
+    return longest;
+}
+
 bool
 Network::canAccept(NodeId src, NodeId dst, unsigned words) const
 {
-    const Channel *ch = chans_[laneOf(src)].find(key(src, dst));
+    const Channel *ch = chans_.find(channelKey(src, dst));
     const unsigned in_flight = ch ? ch->wordsInFlight : 0;
     return in_flight + words <= cfg_.channelCapacityWords;
-}
-
-void
-Network::setParallel(const sim::ShardMap *shards,
-                     std::vector<EventQueue *> lane_eqs)
-{
-    fugu_assert(shards && shards->shards >= 1, "bad shard map");
-    fugu_assert(lane_eqs.size() == shards->shards,
-                "one event queue per lane required");
-    fugu_assert(laneSeq_[0] == 0 && chans_[0].empty(),
-                "setParallel after traffic started");
-    // The lane is packed into seq bits [kLaneSeqShift, 64): the lane
-    // count must fit, and per-lane counters must never reach the lane
-    // bits. 2^16 lanes x 2^48 messages is unreachable in practice.
-    fugu_assert(shards->shards <=
-                    (std::uint64_t{1} << (64 - kLaneSeqShift)),
-                "too many lanes for the seq packing");
-    shards_ = shards;
-    laneEq_ = std::move(lane_eqs);
-    const unsigned lanes = shards_->shards;
-    chans_.resize(lanes);
-    laneSeq_.assign(lanes, 0);
-    outbox_.resize(lanes);
-    releases_.resize(lanes);
-    weaveCount_.assign(lanes, 0);
-    scratch_.assign(lanes, LaneScratch{});
-    bypassScratch_.resize(lanes);
-    laneTracer_.resize(lanes, nullptr);
-    laneFault_.resize(lanes, nullptr);
-    parallel_ = lanes > 1;
 }
 
 void
@@ -172,81 +155,68 @@ Network::send(Packet pkt)
     fugu_assert(canAccept(pkt.src, pkt.dst, words),
                 "send without canAccept");
 
-    const unsigned lane = laneOf(pkt.src);
-    EventQueue &eq = *laneEq_[lane];
-    Channel &ch = chans_[lane].getOrCreate(key(pkt.src, pkt.dst));
+    Channel &ch = chans_.getOrCreate(channelKey(pkt.src, pkt.dst));
     ch.wordsInFlight += words;
 
-    Cycle ready = eq.now() + latency(pkt.src, pkt.dst, words);
+    Cycle ready = eq_.now() + latency(pkt.src, pkt.dst, words);
     // Injected jitter lands before the FIFO clamp below so it can
     // never reorder messages within a channel — pairwise FIFO is a
     // property of the fabric, not of benign timing.
-    if (sim::FaultInjector *fault = laneFault_[lane])
-        ready += fault->packetJitter();
+    if (fault_)
+        ready += fault_->packetJitter();
     // Per-channel FIFO with serialization: a message cannot arrive
     // before an earlier one on the same channel has been received.
     ready = std::max(ready, ch.lastArrival + cfg_.perWord * words);
     ch.lastArrival = ready;
 
-    pkt.injectedAt = eq.now();
-    pkt.seq = (static_cast<std::uint64_t>(lane) << kLaneSeqShift) |
-              laneSeq_[lane]++;
+    pkt.injectedAt = eq_.now();
+    pkt.seq = seq_++;
     if (watcher_)
         watcher_->onInject(pkt);
-    FUGU_TRACE(laneTracer_[lane], pkt.src, trace::Type::Inject,
+    FUGU_TRACE(tracer_, pkt.src, trace::Type::Inject,
                osNet_ ? trace::osMsgId(pkt.seq)
                       : trace::userMsgId(pkt.seq),
                trace::DivertReason::None,
                (static_cast<std::uint32_t>(pkt.dst) << 16) | words);
     NodeId dst = pkt.dst;
-    if (!parallel_ || laneOf(dst) == lane) {
-        eq.scheduleFn(
-            [this, dst, p = std::move(pkt)]() mutable {
-                arrived_[dst].push_back(std::move(p));
-                drain(dst);
-            },
-            ready, arriveName_.c_str());
-    } else {
-        // Cross-lane: the destination's queue may only be touched at
-        // the barrier. Stage the packet; weave() commits it.
-        outbox_[lane].push_back(Staged{std::move(pkt), ready});
-    }
+    eq_.scheduleFn(
+        [this, dst, p = std::move(pkt)]() mutable {
+            arrived_[dst].push_back(std::move(p));
+            drain(dst);
+        },
+        ready, arriveName_.c_str());
 }
 
 void
 Network::drain(NodeId dst)
 {
     auto &q = arrived_[dst];
-    const unsigned dlane = laneOf(dst);
     while (!q.empty()) {
         Packet &head = q.front();
         const unsigned words = head.size();
         const NodeId src = head.src;
         const Cycle injected = head.injectedAt;
         if (!sinks_[dst]->tryDeliver(std::move(head))) {
-            if (parallel_)
-                ++scratch_[dlane].holBlocks;
-            else
-                ++stats.headOfLineBlocks;
+            ++stats.headOfLineBlocks;
             // A queue-wide refusal (full ring, input-full burst)
             // blocks everything equally: park until re-poked. A
             // flow-local refusal (a DAMQ flow at its per-(src,GID)
             // cap) must not let one tenant's parked packet starve
             // every other tenant queued behind it — offer the rest.
             if (sinks_[dst]->refusalIsSelective(q.front()))
-                bypassBlockedHead(dst, dlane);
+                bypassBlockedHead(dst);
             return; // the head itself retries via onSinkSpaceFreed
         }
         q.pop_front();
-        accountDelivery(dlane, src, dst, words, injected);
+        accountDelivery(src, dst, words, injected);
     }
 }
 
 std::size_t
-Network::bypassBlockedHead(NodeId dst, unsigned dlane)
+Network::bypassBlockedHead(NodeId dst)
 {
     auto &q = arrived_[dst];
-    std::vector<std::uint64_t> &blocked = bypassScratch_[dlane];
+    std::vector<std::uint64_t> &blocked = bypassScratch_;
     blocked.clear();
     const auto flowKey = [](const Packet &p) {
         return (static_cast<std::uint64_t>(p.src) << 32) | p.gid;
@@ -281,114 +251,22 @@ Network::bypassBlockedHead(NodeId dst, unsigned dlane)
         }
         q.remove_at(i); // earlier (blocked) entries shift back one
         ++delivered;
-        if (parallel_)
-            ++scratch_[dlane].holBypasses;
-        else
-            ++stats.headOfLineBypasses;
-        accountDelivery(dlane, src, dst, words, injected);
+        ++stats.headOfLineBypasses;
+        accountDelivery(src, dst, words, injected);
     }
     return delivered;
 }
 
 void
-Network::accountDelivery(unsigned dlane, NodeId src, NodeId dst,
-                         unsigned words, Cycle injected)
+Network::accountDelivery(NodeId src, NodeId dst, unsigned words,
+                         Cycle injected)
 {
-    const double lat =
-        static_cast<double>(laneEq_[dlane]->now() - injected);
-    if (parallel_) {
-        LaneScratch &sc = scratch_[dlane];
-        ++sc.messages;
-        sc.words += words;
-        if (sc.latCount == 0) {
-            sc.latMin = lat;
-            sc.latMax = lat;
-        } else {
-            sc.latMin = std::min(sc.latMin, lat);
-            sc.latMax = std::max(sc.latMax, lat);
-        }
-        ++sc.latCount;
-        sc.latSum += lat;
-    } else {
-        ++stats.messages;
-        stats.words += words;
-        stats.deliveryLatency.sample(lat);
-    }
-    const unsigned slane = laneOf(src);
-    Channel *ch = chans_[slane].find(key(src, dst));
+    ++stats.messages;
+    stats.words += words;
+    stats.deliveryLatency.sample(static_cast<double>(eq_.now() - injected));
+    Channel *ch = chans_.find(channelKey(src, dst));
     fugu_assert(ch);
-    if (!parallel_ || slane == dlane) {
-        releaseChannel(*ch, words);
-    } else {
-        // The channel (and any blocked sender waiting on it)
-        // belongs to the source's lane; defer to the weave.
-        releases_[dlane].push_back(Release{slane, key(src, dst), words});
-    }
-}
-
-void
-Network::weave()
-{
-    if (!parallel_)
-        return;
-    // Deferred cross-lane channel releases first: waking a blocked
-    // sender may stage more packets, which the commit pass below then
-    // picks up in the same weave.
-    for (auto &rl : releases_) {
-        for (const Release &r : rl) {
-            Channel *ch = chans_[r.srcLane].find(r.key);
-            fugu_assert(ch);
-            releaseChannel(*ch, r.words);
-        }
-        rl.clear();
-    }
-    // Bulk scheduleAt: pre-size each destination queue's pools so the
-    // commit loop below never allocates mid-phase.
-    for (auto &ob : outbox_)
-        for (const Staged &s : ob)
-            ++weaveCount_[laneOf(s.pkt.dst)];
-    for (std::size_t l = 0; l < laneEq_.size(); ++l) {
-        if (weaveCount_[l] != 0)
-            laneEq_[l]->prepareBulk(weaveCount_[l]);
-        weaveCount_[l] = 0;
-    }
-    // Commit staged packets in lane order, then per-lane in send
-    // order, so the destination queue's (cycle, insertion) order — and
-    // with it the whole simulation — is a pure function of the shard
-    // count. The bound horizon guarantees ready >= the destination
-    // clock whenever lookahead <= the minimum cross-node latency; the
-    // max() also keeps degenerate zero-latency configs safe (a small,
-    // documented timing deviation, never a causality violation).
-    for (auto &ob : outbox_) {
-        for (Staged &s : ob) {
-            const NodeId dst = s.pkt.dst;
-            EventQueue &dq = *laneEq_[laneOf(dst)];
-            const Cycle at = std::max(s.ready, dq.now());
-            dq.scheduleFn(
-                [this, dst, p = std::move(s.pkt)]() mutable {
-                    arrived_[dst].push_back(std::move(p));
-                    drain(dst);
-                },
-                at, arriveName_.c_str());
-        }
-        ob.clear();
-    }
-}
-
-void
-Network::mergeLaneStats()
-{
-    if (!parallel_)
-        return;
-    for (LaneScratch &sc : scratch_) {
-        stats.messages += sc.messages;
-        stats.words += sc.words;
-        stats.headOfLineBlocks += sc.holBlocks;
-        stats.headOfLineBypasses += sc.holBypasses;
-        stats.deliveryLatency.merge(sc.latCount, sc.latSum, sc.latMin,
-                                    sc.latMax);
-        sc = LaneScratch{};
-    }
+    releaseChannel(*ch, words);
 }
 
 void
@@ -427,7 +305,7 @@ Network::subscribeSpace(NodeId src, NodeId dst, SpaceWaiter *waiter)
                 "SpaceWaiter subscribed while already linked");
     waiter->linked_ = true;
     waiter->nextWaiter_ = nullptr;
-    Channel &ch = chans_[laneOf(src)].getOrCreate(key(src, dst));
+    Channel &ch = chans_.getOrCreate(channelKey(src, dst));
     if (ch.waitTail)
         ch.waitTail->nextWaiter_ = waiter;
     else

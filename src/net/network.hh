@@ -23,13 +23,13 @@
 #define FUGU_NET_NETWORK_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "net/packet.hh"
 #include "sim/event.hh"
 #include "sim/ring.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
@@ -95,6 +95,97 @@ struct NetworkConfig
 /** Register NetworkConfig's fields on the scenario/config tree. */
 void bindConfig(sim::Binder &b, NetworkConfig &c);
 
+/** A (src,dst) channel, both node ids packed into one word. */
+using ChannelKey = std::uint32_t;
+
+// The pack gives each endpoint 16 bits. NodeId is 16 bits, so it is
+// lossless by construction; if NodeId ever widens, this must fail to
+// compile rather than silently alias channels between distant pairs.
+static_assert(sizeof(NodeId) <= 2, "channelKey packs NodeId into 16 bits");
+
+constexpr ChannelKey
+channelKey(NodeId src, NodeId dst)
+{
+    return (static_cast<ChannelKey>(src) << 16) | dst;
+}
+
+struct Channel
+{
+    unsigned wordsInFlight = 0;
+    Cycle lastArrival = 0;
+    // Intrusive FIFO of blocked senders (see SpaceWaiter).
+    SpaceWaiter *waitHead = nullptr;
+    SpaceWaiter *waitTail = nullptr;
+};
+
+/**
+ * Open-addressing (src,dst) -> Channel map. Channels are created once
+ * per communicating pair and then only looked up, which a node-based
+ * std::map punishes with a pointer chase per level on the per-message
+ * send/drain path; linear probing over a flat power-of-2 table makes
+ * the lookup one or two cache lines. Never iterated, so table order
+ * can't leak into simulation order. References are invalidated by
+ * getOrCreate (growth).
+ */
+class ChannelMap
+{
+  public:
+    Channel *
+    find(ChannelKey k)
+    {
+        if (size_ == 0)
+            return nullptr;
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(k);; ++i) {
+            Slot &s = slots_[i & mask];
+            if (!s.used)
+                return nullptr;
+            if (s.key == k)
+                return &s.ch;
+        }
+    }
+
+    const Channel *
+    find(ChannelKey k) const
+    {
+        return const_cast<ChannelMap *>(this)->find(k);
+    }
+
+    Channel &getOrCreate(ChannelKey k);
+
+    std::size_t size() const { return size_; }
+
+    /** Slots the longest lookup of a stored key visits (0 if empty). */
+    std::size_t maxProbe() const;
+
+  private:
+    struct Slot
+    {
+        ChannelKey key = 0;
+        bool used = false;
+        Channel ch;
+    };
+
+    /**
+     * Fibonacci hashing: the key times 2^64/phi, indexed by the
+     * product's top bits. Every table size draws its home slot from
+     * all of the key's bits, so home slots cover the whole table at
+     * any size and adjacent node pairs spread out.
+     */
+    std::size_t
+    home(ChannelKey k) const
+    {
+        return static_cast<std::size_t>(
+            (std::uint64_t{k} * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+
+    void grow();
+
+    std::vector<Slot> slots_; // power-of-2 size
+    std::size_t size_ = 0;
+    unsigned shift_ = 0; // 64 - log2(slots_.size()), set by grow()
+};
+
 class Network
 {
   public:
@@ -141,7 +232,7 @@ class Network
     void
     setTracer(trace::Recorder *tracer, bool os_net)
     {
-        laneTracer_[0] = tracer;
+        tracer_ = tracer;
         osNet_ = os_net;
     }
 
@@ -150,54 +241,7 @@ class Network
      * the user network gets one; the OS network must stay the
      * guaranteed deadlock-free path.
      */
-    void setFault(sim::FaultInjector *fault) { laneFault_[0] = fault; }
-
-    /// @name Parallel (bound-weave) engine hooks
-    /// @{
-
-    /**
-     * Partition the network into one lane per shard of @p shards.
-     * Lane l owns the send-side state (channels, sequence counter,
-     * staging outbox) of shard l's nodes and schedules same-lane
-     * arrivals on @p lane_eqs[l]; cross-lane traffic is staged and
-     * committed by weave(). Must be called before any send; with one
-     * shard the network behaves bit-identically to the serial build.
-     */
-    void setParallel(const sim::ShardMap *shards,
-                     std::vector<EventQueue *> lane_eqs);
-
-    /** Attach lane @p lane's trace recorder (parallel runs). */
-    void
-    setLaneTracer(unsigned lane, trace::Recorder *tracer)
-    {
-        laneTracer_[lane] = tracer;
-    }
-
-    /** Attach lane @p lane's fault injector (parallel runs). */
-    void
-    setLaneFault(unsigned lane, sim::FaultInjector *fault)
-    {
-        laneFault_[lane] = fault;
-    }
-
-    /**
-     * Weave phase: serially commit everything the bound phase staged,
-     * in fixed lane order so the result is deterministic. First the
-     * deferred cross-lane channel releases run (possibly waking
-     * blocked senders, whose sends are staged and picked up below),
-     * then every staged cross-lane packet is scheduled onto its
-     * destination lane's queue, per-channel FIFO order preserved.
-     * No-op when the network has a single lane.
-     */
-    void weave();
-
-    /**
-     * Fold the per-lane scratch counters into the canonical stats
-     * (idempotent; called by the Machine when a parallel run stops).
-     */
-    void mergeLaneStats();
-
-    /// @}
+    void setFault(sim::FaultInjector *fault) { fault_ = fault; }
 
     /** Attach a packet-lifecycle watcher (the invariant checker). */
     void setWatcher(PacketWatcher *watcher) { watcher_ = watcher; }
@@ -222,133 +266,6 @@ class Network
     Stats stats;
 
   private:
-    using ChannelKey = std::uint32_t;
-
-    // The channel map packs (src,dst) into 16 bits each. NodeId is
-    // currently 16 bits so the pack is lossless by construction; if
-    // NodeId ever widens, this must fail to compile rather than
-    // silently alias channels between distant node pairs.
-    static_assert(sizeof(NodeId) <= 2,
-                  "Network::key packs NodeId into 16 bits");
-
-    static ChannelKey
-    key(NodeId src, NodeId dst)
-    {
-        return (static_cast<ChannelKey>(src) << 16) | dst;
-    }
-
-    struct Channel
-    {
-        unsigned wordsInFlight = 0;
-        Cycle lastArrival = 0;
-        // Intrusive FIFO of blocked senders (see SpaceWaiter).
-        SpaceWaiter *waitHead = nullptr;
-        SpaceWaiter *waitTail = nullptr;
-    };
-
-    /**
-     * Open-addressing (src,dst) -> Channel map. Channels are created
-     * once per communicating pair and then only looked up, which a
-     * node-based std::map punishes with a pointer chase per level on
-     * the per-message send/drain path; linear probing over a flat
-     * power-of-2 table makes the lookup one or two cache lines.
-     * Never iterated, so table order can't leak into simulation order.
-     * References are invalidated by getOrCreate (growth).
-     */
-    class ChannelMap
-    {
-      public:
-        Channel *
-        find(ChannelKey k)
-        {
-            if (size_ == 0)
-                return nullptr;
-            const std::size_t mask = slots_.size() - 1;
-            for (std::size_t i = hash(k);; ++i) {
-                Slot &s = slots_[i & mask];
-                if (!s.used)
-                    return nullptr;
-                if (s.key == k)
-                    return &s.ch;
-            }
-        }
-
-        const Channel *
-        find(ChannelKey k) const
-        {
-            return const_cast<ChannelMap *>(this)->find(k);
-        }
-
-        Channel &getOrCreate(ChannelKey k);
-
-        bool empty() const { return size_ == 0; }
-
-      private:
-        struct Slot
-        {
-            ChannelKey key = 0;
-            bool used = false;
-            Channel ch;
-        };
-
-        static std::size_t
-        hash(ChannelKey k)
-        {
-            // Fibonacci scrambling: adjacent node pairs spread out.
-            return (k * 0x9e3779b9u) >> 16;
-        }
-
-        void grow();
-
-        std::vector<Slot> slots_; // power-of-2 size
-        std::size_t size_ = 0;
-    };
-
-    /** A cross-lane packet awaiting the weave commit. */
-    struct Staged
-    {
-        Packet pkt;
-        Cycle ready;
-    };
-
-    /** A cross-lane channel release deferred to the weave. */
-    struct Release
-    {
-        unsigned srcLane;
-        ChannelKey key;
-        unsigned words;
-    };
-
-    /**
-     * Per-destination-lane stat scratch. Deliveries run on the lane's
-     * thread during the bound phase, so they may not touch the shared
-     * Stats; the scratch is merged (in lane order) at run end.
-     */
-    struct LaneScratch
-    {
-        double messages = 0;
-        double words = 0;
-        double holBlocks = 0;
-        double holBypasses = 0;
-        std::uint64_t latCount = 0;
-        double latSum = 0;
-        double latMin = 0;
-        double latMax = 0;
-    };
-
-    /**
-     * Lane sequence numbers pack the lane into the top 16 bits so
-     * per-lane counters never collide machine-wide; lane 0 (and any
-     * serial run) keeps the plain 0,1,2,... sequence.
-     */
-    static constexpr unsigned kLaneSeqShift = 48;
-
-    unsigned
-    laneOf(NodeId n) const
-    {
-        return shards_ ? shards_->of(n) : 0;
-    }
-
     void drain(NodeId dst);
 
     /**
@@ -357,10 +274,10 @@ class Network
      * other flows, preserving per-(src,gid) FIFO. Returns the number
      * delivered.
      */
-    std::size_t bypassBlockedHead(NodeId dst, unsigned dlane);
+    std::size_t bypassBlockedHead(NodeId dst);
 
-    void accountDelivery(unsigned dlane, NodeId src, NodeId dst,
-                         unsigned words, Cycle injected);
+    void accountDelivery(NodeId src, NodeId dst, unsigned words,
+                         Cycle injected);
 
     void releaseChannel(Channel &ch, unsigned words);
 
@@ -373,25 +290,13 @@ class Network
     /** Per-destination queues of packets that finished traversal. */
     std::vector<sim::RingDeque<Packet>> arrived_;
 
-    // Per-lane state (index 0 only until setParallel). Channels and
-    // the sequence counter belong to the sender's lane; the staging
-    // outbox to the sender's, releases and scratch to the receiver's.
-    std::vector<ChannelMap> chans_;
-    std::vector<std::uint64_t> laneSeq_;
-    std::vector<std::vector<Staged>> outbox_;
-    std::vector<std::vector<Release>> releases_;
-    std::vector<std::size_t> weaveCount_; // scratch for weave()
-    std::vector<LaneScratch> scratch_;
-    // Per-lane blocked-flow keys for the head-of-line bypass scan
-    // (reused so the scan allocates only up to each lane's high-water
-    // mark; lanes scan concurrently, so one buffer each).
-    std::vector<std::vector<std::uint64_t>> bypassScratch_;
-    std::vector<EventQueue *> laneEq_;
-    std::vector<trace::Recorder *> laneTracer_;
-    std::vector<sim::FaultInjector *> laneFault_;
-
-    const sim::ShardMap *shards_ = nullptr;
-    bool parallel_ = false;
+    ChannelMap chans_;
+    std::uint64_t seq_ = 0;
+    // Blocked-flow keys for the head-of-line bypass scan, reused so
+    // the scan allocates only up to its high-water mark.
+    std::vector<std::uint64_t> bypassScratch_;
+    trace::Recorder *tracer_ = nullptr;
+    sim::FaultInjector *fault_ = nullptr;
     bool osNet_ = false;
 
     PacketWatcher *watcher_ = nullptr;

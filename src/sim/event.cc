@@ -23,7 +23,6 @@ EventQueue::allocSlot(Event *ev, bool owned)
     if (freeSlotHead_ != kNoEventSlot) {
         idx = freeSlotHead_;
         freeSlotHead_ = slots_[idx].nextFree;
-        --freeSlotCount_;
     } else {
         idx = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
@@ -44,26 +43,6 @@ EventQueue::freeSlot(std::uint32_t idx)
     ++s.gen; // invalidates every outstanding handle and queue entry
     s.nextFree = freeSlotHead_;
     freeSlotHead_ = idx;
-    ++freeSlotCount_;
-}
-
-void
-EventQueue::prepareBulk(std::size_t n)
-{
-    if (freeSlotCount_ < n)
-        slots_.reserve(slots_.size() + (n - freeSlotCount_));
-    if (lambdaFree_.size() < n) {
-        std::size_t need = n - lambdaFree_.size();
-        lambdaStore_.reserve(lambdaStore_.size() + need);
-        lambdaFree_.reserve(n);
-        while (need-- > 0) {
-            lambdaStore_.push_back(
-                std::make_unique<LambdaEvent>("bulk"));
-            lambdaFree_.push_back(lambdaStore_.back().get());
-        }
-    }
-    // Worst case every entry lands in the far band.
-    heap_.reserve(heap_.size() + n);
 }
 
 namespace
@@ -424,13 +403,6 @@ EventQueue::runOne()
         return false;
     fireNext(nx);
     return true;
-}
-
-Cycle
-EventQueue::nextTime()
-{
-    NextEvent nx;
-    return findNext(nx) ? nx.when : kMaxCycle;
 }
 
 std::uint64_t

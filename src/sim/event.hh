@@ -274,22 +274,6 @@ class EventQueue
     void setBatchFire(bool on) { batchFire_ = on; }
     bool batchFire() const { return batchFire_; }
 
-    /**
-     * Pre-size internal pools for @p n imminent schedule/scheduleFn
-     * calls so none of them allocates. Used by the parallel weave to
-     * commit a whole phase's cross-shard handoffs allocation-free.
-     */
-    void prepareBulk(std::size_t n);
-
-    /**
-     * Cycle of the next live event without firing it, or kMaxCycle
-     * when the queue is empty. Non-const because locating the next
-     * event drops stale (cancelled) entries on the way. This is what
-     * the parallel engine's weave phase uses to compute the global
-     * horizon floor across shard queues.
-     */
-    Cycle nextTime();
-
     bool empty() const { return live_ == 0; }
 
     /** Number of live (non-cancelled) pending events. */
@@ -400,7 +384,6 @@ class EventQueue
     std::size_t ringCount_ = 0; // all entries held in ring buckets
     std::vector<SlotRec> slots_;
     std::uint32_t freeSlotHead_ = kNoEventSlot;
-    std::size_t freeSlotCount_ = 0;
 
     Cycle ringBase_ = 0; // window start, kRingSize-aligned, <= now_
     std::vector<std::vector<BucketEntry>> ring_; // kRingSize buckets

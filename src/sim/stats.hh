@@ -83,27 +83,6 @@ class Distribution : public Stat
     double minValue() const { return count_ ? min_ : 0; }
     double maxValue() const { return count_ ? max_ : 0; }
 
-    /**
-     * Fold another distribution's summary into this one (used by the
-     * parallel engine to merge per-lane scratch counters at the end
-     * of a run). A zero @p count merges nothing.
-     */
-    void
-    merge(std::uint64_t count, double sum, double mn, double mx)
-    {
-        if (count == 0)
-            return;
-        if (count_ == 0) {
-            min_ = mn;
-            max_ = mx;
-        } else {
-            min_ = std::min(min_, mn);
-            max_ = std::max(max_, mx);
-        }
-        count_ += count;
-        sum_ += sum;
-    }
-
     void print(std::ostream &os, const std::string &prefix) const override;
     void reset() override { count_ = 0; sum_ = 0; min_ = 0; max_ = 0; }
 

@@ -2,10 +2,10 @@
  * @file
  * fugutrace: message-lifecycle tracing.
  *
- * A Recorder captures fixed-size TraceEvents into a per-shard ring
- * buffer (one shard = one Machine = one deterministic single-threaded
- * simulation, so recording needs no synchronization and the trace
- * bytes are independent of the harness worker count). Components hold
+ * A Recorder captures fixed-size TraceEvents into a ring buffer, one
+ * per Machine (one deterministic single-threaded simulation, so
+ * recording needs no synchronization and the trace bytes are
+ * independent of the harness worker count). Components hold
  * a nullable `trace::Recorder *`: the runtime-disabled path is a
  * single null-check branch, and defining FUGU_TRACE_DISABLED compiles
  * every instrumentation point out entirely.

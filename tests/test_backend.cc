@@ -3,15 +3,13 @@
  * NiBufferBackend conformance suite. Every backend must keep the
  * invariants the two-case delivery machinery assumes — per-stream
  * FIFO order, content transparency, refusal (not loss) when full,
- * frame conservation under load, replay determinism, and agreement
- * between the serial and sharded engines — while the backend-specific
- * behaviors (DAMQ head bypass, flow caps and descriptor coupling;
+ * frame conservation under load and replay determinism — while the
+ * backend-specific behaviors (DAMQ head bypass, flow caps and descriptor coupling;
  * zerocopy's cheaper buffered path) are pinned individually.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -338,11 +336,10 @@ TEST(BackendCostTest, CostVectorsMatchTheCostModel)
 // ---------------------------------------------------------------------
 
 glaze::MachineConfig
-backendConfig(NiBackendKind k, unsigned nodes, unsigned shards)
+backendConfig(NiBackendKind k, unsigned nodes)
 {
     glaze::MachineConfig cfg;
     cfg.nodes = nodes;
-    cfg.parShards = shards;
     cfg.seed = 7;
     cfg.ni.backend = k;
     return cfg;
@@ -380,38 +377,13 @@ runStorm(const glaze::MachineConfig &base)
                            /*with_null=*/true, /*gang=*/true, g);
 }
 
-/** Scoped FUGU_THREADS override (the pool reads it per machine). */
-class ThreadsEnv
-{
-  public:
-    explicit ThreadsEnv(const char *v)
-    {
-        const char *old = std::getenv("FUGU_THREADS");
-        had_ = old != nullptr;
-        if (had_)
-            old_ = old;
-        setenv("FUGU_THREADS", v, 1);
-    }
-    ~ThreadsEnv()
-    {
-        if (had_)
-            setenv("FUGU_THREADS", old_.c_str(), 1);
-        else
-            unsetenv("FUGU_THREADS");
-    }
-
-  private:
-    bool had_ = false;
-    std::string old_;
-};
-
 TEST(BackendMachineTest, EveryBackendDeliversTheSameWorkload)
 {
     // Content transparency at the semantic level: the application
     // sends and receives the same messages whatever buffers them.
     RunStats oracle;
     for (NiBackendKind k : kAllBackends) {
-        const RunStats r = runSynth(backendConfig(k, 16, 1));
+        const RunStats r = runSynth(backendConfig(k, 16));
         ASSERT_TRUE(r.completed) << toString(k);
         EXPECT_EQ(r.violations, 0.0) << toString(k);
         if (k == NiBackendKind::StaticFifo)
@@ -430,7 +402,7 @@ TEST(BackendMachineTest, StaticFifoIsBitExactWithTheDefault)
     // `--set ni.backend=static_fifo` must be a spelling of the seed
     // behavior, down to the engine event count.
     glaze::MachineConfig def = backendConfig(
-        NiBackendKind::StaticFifo, 16, 1);
+        NiBackendKind::StaticFifo, 16);
     const RunStats a = runSynth(def);
     const RunStats b = runSynth(glaze::MachineConfig{def});
     ASSERT_TRUE(a.completed);
@@ -441,7 +413,7 @@ TEST(BackendMachineTest, StaticFifoIsBitExactWithTheDefault)
 TEST(BackendMachineTest, FaultStormZeroViolationsAndReplays)
 {
     for (NiBackendKind k : kAllBackends) {
-        const glaze::MachineConfig cfg = backendConfig(k, 8, 1);
+        const glaze::MachineConfig cfg = backendConfig(k, 8);
         const RunStats r = runStorm(cfg);
         ASSERT_TRUE(r.completed)
             << toString(k) << " wedged under the fault storm";
@@ -454,41 +426,6 @@ TEST(BackendMachineTest, FaultStormZeroViolationsAndReplays)
     }
 }
 
-TEST(BackendMachineTest, ShardedAgreesWithSerialSemantics)
-{
-    for (NiBackendKind k : kAllBackends) {
-        const RunStats serial = runSynth(backendConfig(k, 16, 1));
-        const RunStats par = runSynth(backendConfig(k, 16, 4));
-        ASSERT_TRUE(serial.completed) << toString(k);
-        ASSERT_TRUE(par.completed) << toString(k);
-        EXPECT_EQ(serial.sent, par.sent) << toString(k);
-        EXPECT_EQ(serial.direct + serial.buffered,
-                  par.direct + par.buffered)
-            << toString(k);
-        EXPECT_EQ(serial.violations, 0.0) << toString(k);
-        EXPECT_EQ(par.violations, 0.0) << toString(k);
-    }
-}
-
-TEST(BackendMachineTest, ShardedRunIndependentOfThreadCount)
-{
-    for (NiBackendKind k : kAllBackends) {
-        const glaze::MachineConfig cfg = backendConfig(k, 16, 4);
-        RunStats one, four;
-        {
-            ThreadsEnv env("1");
-            one = runSynth(cfg);
-        }
-        {
-            ThreadsEnv env("4");
-            four = runSynth(cfg);
-        }
-        ASSERT_TRUE(one.completed) << toString(k);
-        EXPECT_TRUE(one == four) << toString(k);
-        EXPECT_EQ(one.events, four.events) << toString(k);
-    }
-}
-
 TEST(BackendMachineTest, OverflowControlSurvivesTightFrames)
 {
     // Frame conservation under pressure: with few frames per node and
@@ -496,7 +433,7 @@ TEST(BackendMachineTest, OverflowControlSurvivesTightFrames)
     // engages and the InvariantChecker's conservation sweep must stay
     // clean for every backend.
     for (NiBackendKind k : kAllBackends) {
-        glaze::MachineConfig cfg = backendConfig(k, 8, 1);
+        glaze::MachineConfig cfg = backendConfig(k, 8);
         cfg.alwaysBuffered = true;
         cfg.framesPerNode = 12;
         const RunStats r = runSynth(cfg);
@@ -513,10 +450,10 @@ TEST(BackendMachineTest, ZerocopyBuffersCheaperThanStaticFifo)
     // every message diverted, page-flip delivery finishes the same
     // job in strictly less simulated time than the copying path.
     glaze::MachineConfig fifo = backendConfig(
-        NiBackendKind::StaticFifo, 16, 1);
+        NiBackendKind::StaticFifo, 16);
     fifo.alwaysBuffered = true;
     glaze::MachineConfig zc = backendConfig(
-        NiBackendKind::ZerocopyRemap, 16, 1);
+        NiBackendKind::ZerocopyRemap, 16);
     zc.alwaysBuffered = true;
     const RunStats rf = runSynth(fifo);
     const RunStats rz = runSynth(zc);

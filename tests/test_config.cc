@@ -112,6 +112,28 @@ TEST(Config, UnknownKeyNamesFileAndLine)
     EXPECT_NE(err.find("machine.nodez"), std::string::npos) << err;
 }
 
+TEST(Config, ParShardsIsAnUnknownKey)
+{
+    // The parallel engine and its knobs are gone: a scenario that
+    // still asks for shards must fail loudly, not run serially.
+    Config tree;
+    std::string err;
+    ASSERT_TRUE(tree.loadString("[machine]\n"
+                                "nodes = 4\n"
+                                "par_shards = 4\n",
+                                "old.cfg", &err))
+        << err;
+    glaze::MachineConfig machine;
+    glaze::GangConfig gang;
+    harness::Workloads wl;
+    Binder b(tree, Binder::Mode::Apply);
+    bindAll(b, machine, gang, wl);
+    ASSERT_TRUE(b.ok()) << b.error();
+    EXPECT_FALSE(tree.checkUnknown(&err));
+    EXPECT_NE(err.find("old.cfg:3"), std::string::npos) << err;
+    EXPECT_NE(err.find("machine.par_shards"), std::string::npos) << err;
+}
+
 TEST(Config, TypeMismatchNamesOffender)
 {
     Config tree;
@@ -365,7 +387,7 @@ TEST(Config, CheckUnknownInSkipsBenchLocalSections)
 
 TEST(Config, OversizedMeshFailsLoudly)
 {
-    // net::Network::key packs two NodeIds into 32 bits; a mesh that
+    // net::channelKey packs two NodeIds into 32 bits; a mesh that
     // overflows the 16-bit NodeId space must fail loudly instead of
     // silently aliasing channels.
     detail::setThrowOnError(true);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "glaze/machine.hh"
+#include "harness/experiment.hh"
 #include "sim/log.hh"
 
 using namespace fugu;
@@ -387,6 +388,27 @@ TEST_F(GlazeTest, JobsFinishIndependently)
     Job *quick = m.addJob("quick", [](Process &p) { return idleMain(p); });
     m.installJob(quick);
     ASSERT_TRUE(m.runUntilDone(quick, 1000000));
+}
+
+TEST(MachineScaleTest, FourKNodeMeshConstructsAndRuns)
+{
+    // The NodeId-width and channel-key packing audit in executable
+    // form: a 4096-node machine (the largest mesh the scenarios
+    // exercise) constructs and completes a small all-nodes workload.
+    MachineConfig cfg;
+    cfg.nodes = 4096;
+    cfg.seed = 7;
+    // Periodic conservation sweeps are O(nodes * processes); at 4096
+    // nodes they dominate a short run, so sweep only at the end.
+    cfg.check.sweepEvery = 0;
+    harness::Workloads wl;
+    wl.barrier.barriers = 2;
+    const harness::RunStats r =
+        harness::runJob(cfg, wl.factory("barrier"),
+                        /*with_null=*/false, /*gang=*/false, {});
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.violations, 0.0);
+    EXPECT_GT(r.sent, 0u);
 }
 
 } // namespace

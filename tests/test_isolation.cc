@@ -3,8 +3,7 @@
  * Adversarial-neighbor isolation tests: a victim sharing the machine
  * with each adversary tenant keeps every transparency invariant
  * (cross-GID FIFO, content, protection, frame conservation) on all
- * three NI buffering backends, serial and sharded engines, and
- * whatever FUGU_THREADS is set to; the new starvation/isolation
+ * three NI buffering backends and whatever FUGU_THREADS is set to; the new starvation/isolation
  * checker metrics observe the abuse and their limits trip when armed.
  */
 
@@ -12,7 +11,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <tuple>
 
 #include "apps/adversary.hh"
 #include "glaze/machine.hh"
@@ -74,22 +72,19 @@ runAbuserPair(const MachineConfig &cfg)
 }
 
 class IsolationBackendTest
-    : public ::testing::TestWithParam<
-          std::tuple<core::NiBackendKind, unsigned>>
+    : public ::testing::TestWithParam<core::NiBackendKind>
 {
 };
 
 TEST_P(IsolationBackendTest, AbuserPinsVbufWithoutBreakingInvariants)
 {
-    const auto &[backend, shards] = GetParam();
+    const core::NiBackendKind backend = GetParam();
     MachineConfig cfg = baseConfig();
     cfg.ni.backend = backend;
-    cfg.parShards = shards;
     const TenantRunStats r = runAbuserPair(cfg);
-    ASSERT_TRUE(r.completed) << core::toString(backend) << "/"
-                             << shards << ": victim never finished";
-    EXPECT_EQ(r.violations, 0.0)
-        << core::toString(backend) << "/" << shards;
+    ASSERT_TRUE(r.completed)
+        << core::toString(backend) << ": victim never finished";
+    EXPECT_EQ(r.violations, 0.0) << core::toString(backend);
 
     const TenantStats &vic = r.tenants[0];
     const TenantStats &abu = r.tenants[1];
@@ -99,8 +94,7 @@ TEST_P(IsolationBackendTest, AbuserPinsVbufWithoutBreakingInvariants)
     EXPECT_GT(vic.iso.direct + vic.iso.buffered, 0u);
     // The abuser really refused to drain: its squat diverted arrivals
     // into its vbuf and the checker saw the page occupancy.
-    EXPECT_GT(abu.buffered, 0.0)
-        << core::toString(backend) << "/" << shards;
+    EXPECT_GT(abu.buffered, 0.0) << core::toString(backend);
     EXPECT_GE(abu.maxVbufPages, 1u);
     EXPECT_GT(abu.iso.framePeak, 0u);
     EXPECT_GT(abu.iso.frameShareMax, 0.0);
@@ -108,14 +102,11 @@ TEST_P(IsolationBackendTest, AbuserPinsVbufWithoutBreakingInvariants)
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, IsolationBackendTest,
-    ::testing::Combine(
-        ::testing::Values(core::NiBackendKind::StaticFifo,
-                          core::NiBackendKind::Damq,
-                          core::NiBackendKind::ZerocopyRemap),
-        ::testing::Values(1u, 2u)),
+    ::testing::Values(core::NiBackendKind::StaticFifo,
+                      core::NiBackendKind::Damq,
+                      core::NiBackendKind::ZerocopyRemap),
     [](const auto &info) {
-        return std::string(core::toString(std::get<0>(info.param))) +
-               "_shards" + std::to_string(std::get<1>(info.param));
+        return std::string(core::toString(info.param));
     });
 
 class AdversaryGridTest : public ::testing::TestWithParam<std::string>
@@ -277,7 +268,6 @@ TEST(IsolationMetricsTest, RunIndependentOfWorkerThreads)
     const std::string saved_val = saved ? saved : "";
 
     MachineConfig cfg = baseConfig();
-    cfg.parShards = 2;
     ::setenv("FUGU_THREADS", "1", 1);
     const TenantRunStats r1 = runAbuserPair(cfg);
     ::setenv("FUGU_THREADS", "4", 1);

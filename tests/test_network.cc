@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the interconnect model: ordering, latency,
- * back-pressure, head-of-line blocking, and space notifications.
+ * back-pressure, head-of-line blocking, space notifications, and the
+ * channel table's probe lengths.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +67,26 @@ struct NetworkTest : ::testing::Test
     Network net;
     QueueSink sinks[4];
 };
+
+TEST(ChannelMapTest, ProbesStayShortPastSixtyFourKChannels)
+{
+    // Every (src,dst) pair of a 1024-node mesh: 2^20 channels, 16x
+    // the 65,536 home slots a 16-bit hash can reach. Checked every
+    // 2^16 inserts so a clustering hash fails fast instead of
+    // crawling through ever-longer probes.
+    ChannelMap map;
+    for (NodeId s = 0; s < 1024; ++s) {
+        for (NodeId d = 0; d < 1024; ++d)
+            map.getOrCreate(channelKey(s, d)).wordsInFlight = s ^ d;
+        if ((s + 1) % 64 == 0) {
+            ASSERT_LE(map.maxProbe(), 32u) << map.size() << " channels";
+        }
+    }
+    EXPECT_EQ(map.size(), std::size_t{1} << 20);
+    ASSERT_NE(map.find(channelKey(1023, 5)), nullptr);
+    EXPECT_EQ(map.find(channelKey(1023, 5))->wordsInFlight, 1023u ^ 5u);
+    EXPECT_EQ(map.find(channelKey(1024, 5)), nullptr);
+}
 
 TEST_F(NetworkTest, DeliversWithModelLatency)
 {

@@ -2,10 +2,8 @@
  * @file
  * Serving-tier tests: the sharded KV store and the RPC echo complete
  * every open-loop request with consistent accounting, the run is
- * bit-identical whatever FUGU_THREADS is at a fixed shard count, the
- * parallel engine agrees with the serial oracle on everything the
- * application semantically produced, and a fault storm against the
- * tier finishes with zero invariant violations.
+ * bit-identical whatever FUGU_THREADS is, and a fault storm against
+ * the tier finishes with zero invariant violations.
  */
 
 #include <gtest/gtest.h>
@@ -32,12 +30,11 @@ struct ServeRun
 };
 
 ServeRun
-runServe(const std::string &app, unsigned nodes, unsigned shards,
-         unsigned requests, bool gang = false, bool faults = false)
+runServe(const std::string &app, unsigned nodes, unsigned requests,
+         bool gang = false, bool faults = false)
 {
     glaze::MachineConfig cfg;
     cfg.nodes = nodes;
-    cfg.parShards = shards;
     cfg.seed = 7;
     if (faults) {
         cfg.fault.enabled = true;
@@ -74,7 +71,7 @@ runServe(const std::string &app, unsigned nodes, unsigned shards,
     return out;
 }
 
-/** Scoped FUGU_THREADS override (the pool reads it per machine). */
+/** Scoped FUGU_THREADS override. */
 class ThreadsEnv
 {
   public:
@@ -119,7 +116,7 @@ expectConsistent(const ServeRun &r, unsigned nodes, unsigned requests)
 
 TEST(ServeTest, KvCompletesWithConsistentAccounting)
 {
-    const ServeRun r = runServe("kv", 4, 1, 100);
+    const ServeRun r = runServe("kv", 4, 100);
     expectConsistent(r, 4, 100);
     // put_frac=0.10 over 400 requests: some puts, mostly gets.
     EXPECT_GT(r.sr.puts, 0u);
@@ -130,7 +127,7 @@ TEST(ServeTest, KvCompletesWithConsistentAccounting)
 
 TEST(ServeTest, RpcCompletesWithConsistentAccounting)
 {
-    const ServeRun r = runServe("rpc", 4, 1, 100);
+    const ServeRun r = runServe("rpc", 4, 100);
     expectConsistent(r, 4, 100);
     // The RPC echo never touches the store.
     EXPECT_EQ(r.sr.puts, 0u);
@@ -142,31 +139,14 @@ TEST(ServeTest, FixedShardsBitIdenticalAcrossThreads)
     ServeRun a, b;
     {
         ThreadsEnv env("1");
-        a = runServe("kv", 4, 2, 60);
+        a = runServe("kv", 4, 60);
     }
     {
         ThreadsEnv env("4");
-        b = runServe("kv", 4, 2, 60);
+        b = runServe("kv", 4, 60);
     }
     EXPECT_TRUE(a.rs == b.rs);
     EXPECT_TRUE(a.sr == b.sr);
-}
-
-TEST(ServeTest, SerialAndShardedAgreeSemantically)
-{
-    // The weave interleaves shard timelines differently from the
-    // serial oracle, so cycle-stamped quantities (latency histograms,
-    // span) may differ; what the application semantically produced —
-    // which requests ran, completed, hit locally, mutated the store —
-    // must not.
-    const ServeRun s1 = runServe("kv", 4, 1, 60);
-    const ServeRun s2 = runServe("kv", 4, 2, 60);
-    EXPECT_TRUE(s1.rs.completed && s2.rs.completed);
-    EXPECT_DOUBLE_EQ(s2.rs.violations, 0.0);
-    EXPECT_EQ(s1.sr.offeredArrivals, s2.sr.offeredArrivals);
-    EXPECT_EQ(s1.sr.completed, s2.sr.completed);
-    EXPECT_EQ(s1.sr.puts, s2.sr.puts);
-    EXPECT_EQ(s1.sr.localHits, s2.sr.localHits);
 }
 
 TEST(ServeTest, GangSchedulingExercisesTheBufferedCase)
@@ -174,7 +154,7 @@ TEST(ServeTest, GangSchedulingExercisesTheBufferedCase)
     // A short skewed quantum against the null app forces quantum
     // switches mid-stream: some requests must be served off the
     // buffered path, and both delivery cases stay violation-free.
-    const ServeRun r = runServe("kv", 4, 1, 120, /*gang=*/true);
+    const ServeRun r = runServe("kv", 4, 120, /*gang=*/true);
     expectConsistent(r, 4, 120);
     EXPECT_GT(r.sr.latBuffered.count, 0u);
     EXPECT_GT(r.sr.latFast.count, 0u);
@@ -184,7 +164,7 @@ TEST(ServeTest, FaultStormAgainstServingTierIsViolationFree)
 {
     for (const char *app : {"kv", "rpc"}) {
         const ServeRun r =
-            runServe(app, 4, 1, 80, /*gang=*/true, /*faults=*/true);
+            runServe(app, 4, 80, /*gang=*/true, /*faults=*/true);
         expectConsistent(r, 4, 80);
         EXPECT_GT(r.rs.faultEvents, 0.0) << app;
     }

@@ -7,7 +7,7 @@
 # Example:
 #   tools/profile.sh build-profile/bench/bench_engine
 #   tools/profile.sh build-profile/bench/bench_machine_scale \
-#       --scenario scenarios/scale1k.cfg --set scale.shards=1
+#       --scenario scenarios/scale1k.cfg
 #
 # Build the tree with frame pointers first, or the report collapses
 # into the outermost frames:
