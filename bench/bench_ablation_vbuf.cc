@@ -23,29 +23,37 @@ using namespace fugu::harness;
 namespace
 {
 
+/** Peak frames on any node over @p trials runs, seeded as runTrials
+ *  seeds them (the first one traced); -1 if any run is stuck. */
 double
-peakFrames(glaze::MachineConfig mcfg, const glaze::GangConfig &gcfg,
-           const AppFactory &app, const std::string &trace_path = "")
+peakFrames(const glaze::MachineConfig &mcfg,
+           const glaze::GangConfig &gcfg, const AppFactory &app,
+           unsigned trials, Cycle max_cycles,
+           const std::string &trace_path = "")
 {
-    if (!trace_path.empty())
-        mcfg.trace.enabled = true;
-    glaze::Machine m(mcfg);
-    glaze::Job *job = m.addJob("app", app(mcfg.nodes, mcfg.seed));
-    m.addJob("null", apps::makeNullApp());
-    m.startGang(gcfg);
-    const bool done = m.runUntilDone(job, 100000000000ull);
-    if (!trace_path.empty()) {
-        std::string err;
-        if (!fugu::trace::writeTraceFiles(trace_path,
-                                          m.tracer()->buffer(), &err))
-            std::fprintf(stderr, "trace write failed: %s\n",
-                         err.c_str());
-    }
-    if (!done)
-        return -1;
     double peak = 0;
-    for (auto &n : m.nodes)
-        peak = std::max(peak, n.frames.stats.peakUsed.value());
+    for (unsigned t = 0; t < trials; ++t) {
+        glaze::MachineConfig cfg = mcfg;
+        cfg.seed = mcfg.seed + 1000003ull * t;
+        const bool traced = t == 0 && !trace_path.empty();
+        cfg.trace.enabled |= traced;
+        glaze::Machine m(cfg);
+        glaze::Job *job = m.addJob("app", app(cfg.nodes, cfg.seed));
+        m.addJob("null", apps::makeNullApp());
+        m.startGang(gcfg);
+        const bool done = m.runUntilDone(job, max_cycles);
+        if (traced) {
+            std::string err;
+            if (!fugu::trace::writeTraceFiles(
+                    trace_path, m.tracer()->buffer(), &err))
+                std::fprintf(stderr, "trace write failed: %s\n",
+                             err.c_str());
+        }
+        if (!done)
+            return -1;
+        for (auto &n : m.nodes)
+            peak = std::max(peak, n.frames.stats.peakUsed.value());
+    }
     return peak;
 }
 
@@ -82,11 +90,13 @@ main(int argc, char **argv)
             if (i % 2 == 0) {
                 virt[app] = peakFrames(
                     cfg, ctx.gang, ctx.workloads.factory(names[app]),
+                    ctx.trials, ctx.maxCycles,
                     i == 0 ? ctx.tracePath : std::string());
             } else {
                 cfg.pinnedBufferPages = pinnedPages;
                 pinned[app] = peakFrames(
-                    cfg, ctx.gang, ctx.workloads.factory(names[app]));
+                    cfg, ctx.gang, ctx.workloads.factory(names[app]),
+                    ctx.trials, ctx.maxCycles);
             }
         });
 

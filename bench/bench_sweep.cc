@@ -1,0 +1,173 @@
+/**
+ * @file
+ * Table 6, Figures 7-10, the Section 5.1 pages claim and the timeout
+ * and two-case ablations as one driver: each is a scenario file with
+ * a [sweep] section (harness/sweep.hh), e.g.
+ *
+ *   bench_sweep --scenario scenarios/fig7_skew.cfg --json
+ *
+ * Every row has the workload, the axis values, `completed`, the
+ * RunStats fields the paper reports, and three derived columns:
+ * rel_runtime (over the first completed point of the last axis in its
+ * group: Figure 8's normalization, the two-case slowdown), path_cost
+ * (buffer_insert_min + buffer_null_handler + buffered_path_extra:
+ * Figure 10's x axis) and Table 6's paper_* values (null elsewhere).
+ * --trace records grid point 0.
+ */
+
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
+
+#include "harness/sweep.hh"
+
+using namespace fugu;
+using namespace fugu::harness;
+
+namespace
+{
+
+/** Table 6 reference rows (the paper's measured system, not knobs). */
+struct PaperRow
+{
+    const char *name;
+    double cycles;
+    double msgs;
+    double tbetw;
+    double thand;
+};
+
+constexpr PaperRow kPaper[] = {
+    {"barnes", 45.7e6, 107849, 3390, 337},
+    {"water", 47.6e6, 36303, 10500, 419},
+    {"lu", 13.4e6, 7564, 14200, 478},
+    {"barrier", 18.5e6, 240177, 615, 149},
+    {"enum", 72.7e6, 610148, 953, 320},
+};
+
+/** A dumped config value as the JSON type it came from. */
+JsonValue
+typed(const std::string &v)
+{
+    if (v == "true" || v == "false")
+        return JsonValue(v == "true");
+    if (!v.empty() && v.find_first_not_of("0123456789") == v.npos)
+        return JsonValue(std::uint64_t{std::strtoull(v.c_str(), nullptr,
+                                                     10)});
+    char *end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    return !v.empty() && *end == '\0' ? JsonValue(d) : JsonValue(v);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    SweepConfig sweep;
+    BenchSpec spec;
+    spec.name = "sweep";
+    spec.params = [&](sim::Binder &b) { sweep.bind(b); };
+    spec.body = [&](BenchContext &ctx) {
+        std::vector<SweepPoint> points;
+        std::string err;
+        if (!expandSweep(spec, ctx, &points, &err)) {
+            std::fprintf(stderr, "sweep: %s\n", err.c_str());
+            return 2;
+        }
+        const auto apps = sim::splitConfigList(sweep.workloads);
+        for (const std::string &app : apps)
+            ctx.workloads.factory(app); // unknown names exit here
+
+        // Workload-major over the grid. Every run builds private
+        // machines, so the whole matrix runs on parallelFor and rows
+        // print afterwards in order, identical to a serial run.
+        const std::size_t np = points.size();
+        std::vector<RunStats> results(apps.size() * np);
+        parallelFor(results.size(), [&](std::size_t i) {
+            const BenchContext &p = *points[i % np].cfg;
+            results[i] = runTrials(
+                p.machine, p.workloads.factory(apps[i / np]),
+                sweep.withNull, /*gang=*/sweep.withNull, p.gang,
+                p.trials, p.maxCycles,
+                i == 0 ? ctx.tracePath : std::string());
+        });
+
+        std::printf("%s: %zu workload(s) x %zu point(s), %s, %u "
+                    "trial(s)\n%-8s",
+                    sweep.name.c_str(), apps.size(), np,
+                    sweep.withNull ? "gang-scheduled against null"
+                                   : "standalone",
+                    ctx.trials, "app");
+        for (const auto &axis : points.front().axes)
+            std::printf(" %s", axis.first.c_str());
+        std::printf(" %9s %10s %7s %5s %8s %8s %7s %6s %5s\n",
+                    "%buffered", "runtime", "rel", "pages", "timeouts",
+                    "msgs", "T_betw", "T_hand", "path");
+        ctx.report.rename(sweep.name);
+        ctx.report.meta("nodes", ctx.machine.nodes);
+        ctx.report.meta("trials", ctx.trials);
+        ctx.report.meta("with_null", sweep.withNull);
+
+        double base = 0;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const std::string &app = apps[i / np];
+            const SweepPoint &p = points[i % np];
+            const RunStats &r = results[i];
+            const auto runtime = static_cast<double>(r.runtime);
+            if (p.groupStart)
+                base = 0;
+            if (r.completed && base == 0)
+                base = runtime;
+            const double rel = !r.completed ? std::nan("")
+                               : base > 0   ? runtime / base
+                                            : 1.0;
+            const auto &c = p.cfg->machine.costs;
+            const Cycle pathCost = c.bufferInsertMin +
+                                   c.bufferNullHandler +
+                                   c.bufferedPathExtra;
+            PaperRow paper{nullptr, std::nan(""), std::nan(""),
+                           std::nan(""), std::nan("")};
+            for (const PaperRow &row : kPaper)
+                if (app == row.name)
+                    paper = row;
+
+            std::printf("%-8s", app.c_str());
+            std::vector<BenchReport::Cell> row{{"app", app}};
+            for (const auto &[key, value] : p.axes) {
+                std::printf(" %*s", static_cast<int>(key.size()),
+                            value.c_str());
+                row.emplace_back(key, typed(value));
+            }
+            std::printf(" %9s %10.0f %7.3f %5u %8.0f %8llu %7.0f %6.0f "
+                        "%5llu\n",
+                        r.completed ? TablePrinter::num(r.bufferedPct, 2)
+                                          .c_str()
+                                    : "STUCK",
+                        runtime, rel, r.maxVbufPages,
+                        r.atomicityTimeouts,
+                        static_cast<unsigned long long>(r.sent),
+                        r.tBetween, r.tHand,
+                        static_cast<unsigned long long>(pathCost));
+            row.insert(row.end(),
+                       {{"completed", r.completed},
+                        {"runtime", std::uint64_t{r.runtime}},
+                        {"messages", r.sent},
+                        {"buffered_pct", r.bufferedPct},
+                        {"max_vbuf_pages", r.maxVbufPages},
+                        {"atomicity_timeouts", r.atomicityTimeouts},
+                        {"t_between", r.tBetween},
+                        {"t_hand", r.tHand},
+                        {"rel_runtime", rel},
+                        {"path_cost", std::uint64_t{pathCost}},
+                        {"paper_cycles", paper.cycles},
+                        {"paper_messages", paper.msgs},
+                        {"paper_t_between", paper.tbetw},
+                        {"paper_t_hand", paper.thand}});
+            ctx.report.row(std::move(row));
+        }
+        return 0;
+    };
+    return benchMain(spec, argc, argv);
+}

@@ -578,11 +578,16 @@ Crl::registerHandlers()
             const Rid rid = co_await p.read(0);
             const bool excl = co_await p.read(1);
             co_await proc_.compute(handlerCost);
-            co_await p.dispose();
+            // Install the copy before disposing. A dispose that drains
+            // the last buffered message returns the process to direct
+            // delivery, and the home's next message for this region (an
+            // INV right behind the GRANT) can then be upcalled before
+            // this handler resumes.
             Client &c = client(rid);
             c.mode = excl ? CMode::Excl : CMode::Shared;
             c.reqOutstanding = false;
             c.claimPending = true;
+            co_await p.dispose();
             cv_.notifyAll();
         });
 

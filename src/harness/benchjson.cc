@@ -96,6 +96,14 @@ BenchReport::enable(const std::string &path)
         path_ = path;
 }
 
+void
+BenchReport::rename(std::string name)
+{
+    if (path_ == "BENCH_" + name_ + ".json")
+        path_ = "BENCH_" + name + ".json";
+    name_ = std::move(name);
+}
+
 BenchReport::~BenchReport()
 {
     write();

@@ -57,6 +57,9 @@ class BenchReport
     /** Turn on writing; empty @p path keeps the default file. */
     void enable(const std::string &path = "");
 
+    /** Rename the bench; a default output path follows the name. */
+    void rename(std::string name);
+
     /** Writes the file on destruction if --json was given. */
     ~BenchReport();
 

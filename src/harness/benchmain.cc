@@ -32,6 +32,57 @@ usage(const std::string &name)
 
 } // namespace
 
+void
+bindAll(sim::Binder &b, BenchContext &ctx, const BenchSpec &spec)
+{
+    glaze::bindConfig(b, ctx.machine);
+    glaze::bindConfig(b, ctx.gang);
+    ctx.workloads.bind(b);
+    {
+        auto s = b.push("harness");
+        b.item("trials", ctx.trials,
+               "trials (differing only in seed) averaged per data "
+               "point");
+        b.item("max_cycles", ctx.maxCycles,
+               "per-run cycle budget before a run is declared "
+               "stuck",
+               "cycles");
+    }
+    if (spec.params)
+        spec.params(b);
+}
+
+bool
+applyTree(const BenchSpec &spec, BenchContext &ctx, std::string *err,
+          std::string *listing)
+{
+    sim::Binder apply(ctx.tree, sim::Binder::Mode::Apply);
+    bindAll(apply, ctx, spec);
+    if (!apply.ok()) {
+        *err = apply.error();
+        return false;
+    }
+    if (!ctx.tree.checkUnknown(err)) {
+        *err += " (see --list-params)";
+        return false;
+    }
+    if (listing)
+        *listing = apply.listText();
+
+    // Env fallbacks keep the historical workflow working; an explicit
+    // tree setting always wins so dumps replay exactly.
+    if (std::getenv("FUGU_QUICK") &&
+        !ctx.tree.explicitlySet("harness.trials"))
+        ctx.trials = 1;
+    if (std::getenv("FUGU_PAPER_SCALE") &&
+        !ctx.tree.explicitlySet("workloads.paper_scale"))
+        ctx.workloads.paperScale = true;
+    ctx.workloads.resolvePaperScale(ctx.tree);
+
+    ctx.machine = glaze::Machine::fix(ctx.machine);
+    return true;
+}
+
 int
 benchMain(const BenchSpec &spec, int argc, char **argv)
 {
@@ -117,54 +168,18 @@ benchMain(const BenchSpec &spec, int argc, char **argv)
     ctx.argv = ctx.passArgv_.data();
 
     // ---- Bind + apply the tree -------------------------------------
-    auto walk = [&](sim::Binder &b) {
-        glaze::bindConfig(b, ctx.machine);
-        glaze::bindConfig(b, ctx.gang);
-        ctx.workloads.bind(b);
-        {
-            auto s = b.push("harness");
-            b.item("trials", ctx.trials,
-                   "trials (differing only in seed) averaged per data "
-                   "point");
-            b.item("max_cycles", ctx.maxCycles,
-                   "per-run cycle budget before a run is declared "
-                   "stuck",
-                   "cycles");
-        }
-        if (spec.params)
-            spec.params(b);
-    };
-
-    {
-        sim::Binder apply(ctx.tree, sim::Binder::Mode::Apply);
-        walk(apply);
-        if (!apply.ok())
-            return fail(apply.error());
-        if (!ctx.tree.checkUnknown(&err))
-            return fail(err + " (see --list-params)");
-
-        if (listParams) {
-            std::fputs(apply.listText().c_str(), stdout);
-            return 0;
-        }
+    std::string listing;
+    if (!applyTree(spec, ctx, &err, listParams ? &listing : nullptr))
+        return fail(err);
+    if (listParams) {
+        std::fputs(listing.c_str(), stdout);
+        return 0;
     }
-
-    // Env fallbacks keep the historical workflow working; an explicit
-    // tree setting always wins so dumps replay exactly.
-    if (std::getenv("FUGU_QUICK") &&
-        !ctx.tree.explicitlySet("harness.trials"))
-        ctx.trials = 1;
-    if (std::getenv("FUGU_PAPER_SCALE") &&
-        !ctx.tree.explicitlySet("workloads.paper_scale"))
-        ctx.workloads.paperScale = true;
-    ctx.workloads.resolvePaperScale(ctx.tree);
-
-    ctx.machine = glaze::Machine::fix(ctx.machine);
 
     // ---- Effective-config dump -------------------------------------
     if (dumpConfig) {
         sim::Binder dump(ctx.tree, sim::Binder::Mode::Dump);
-        walk(dump);
+        bindAll(dump, ctx, spec);
         if (dumpPath.empty()) {
             std::fputs(dump.dumpText().c_str(), stdout);
             return 0;

@@ -100,6 +100,18 @@ struct BenchSpec
 /** Run a bench under the shared driver. @return process exit code. */
 int benchMain(const BenchSpec &spec, int argc, char **argv);
 
+/** Bind machine, gang, workloads, harness.* and @p spec's section. */
+void bindAll(sim::Binder &b, BenchContext &ctx, const BenchSpec &spec);
+
+/**
+ * Resolve ctx.tree into @p ctx as benchMain does before the body:
+ * bindAll, reject unknown keys, env fallbacks, Machine::fix. A
+ * non-null @p listing gets the --list-params table. @return false
+ * with @p err naming the offending file:line.
+ */
+bool applyTree(const BenchSpec &spec, BenchContext &ctx,
+               std::string *err, std::string *listing = nullptr);
+
 } // namespace fugu::harness
 
 #endif // FUGU_HARNESS_BENCHMAIN_HH

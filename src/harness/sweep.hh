@@ -1,0 +1,65 @@
+/**
+ * @file
+ * The [sweep] scenario section behind bench_sweep: which workloads
+ * run, standalone or against the null app, over up to two axes.
+ *
+ *   [sweep]
+ *   name = fig9_synth_interval      # report file BENCH_<name>.json
+ *   workloads = synth
+ *   with_null = true
+ *   axis1 = apps.synth.n: 10, 100, 1000 / apps.synth.groups: 400, 40, 4
+ *   axis2 = apps.synth.t_between: 250, 500, 1000
+ *
+ * An axis is `key: values` terms joined by '/' that step together,
+ * over any registered keys; axis1 is the outer loop.
+ */
+
+#ifndef FUGU_HARNESS_SWEEP_HH
+#define FUGU_HARNESS_SWEEP_HH
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "harness/benchmain.hh"
+
+namespace fugu::harness
+{
+
+/** The [sweep] section's keys. */
+struct SweepConfig
+{
+    std::string name = "sweep";
+    std::string workloads = "barnes, water, lu, barrier, enum";
+    bool withNull = true;
+    std::string axis1;
+    std::string axis2;
+
+    /** Register sweep.* on @p b. */
+    void bind(sim::Binder &b);
+};
+
+/** One grid point. */
+struct SweepPoint
+{
+    std::unique_ptr<BenchContext> cfg; ///< its resolved configs
+
+    /** (key, effective value) of every axis term, axis1's first. */
+    std::vector<std::pair<std::string, std::string>> axes;
+
+    bool groupStart; ///< the last axis is at its first value here
+};
+
+/**
+ * Expand sweep.axis1 x sweep.axis2 of ctx.tree into grid points. Each
+ * point is ctx.tree plus its axis values, applied by applyTree just as
+ * --set values are. A malformed axis, an unknown key or a value of the
+ * wrong type fails here, before any run, naming the axis's file:line.
+ */
+bool expandSweep(const BenchSpec &spec, const BenchContext &ctx,
+                 std::vector<SweepPoint> *out, std::string *err);
+
+} // namespace fugu::harness
+
+#endif // FUGU_HARNESS_SWEEP_HH

@@ -97,31 +97,13 @@ parseString(const std::string &s, void *out)
     return true;
 }
 
-/** Split on commas, trimming each element; "" -> empty list. */
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    if (trim(s).empty())
-        return out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t comma = s.find(',', start);
-        out.push_back(trim(s.substr(start, comma - start)));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 template <typename T>
 bool
 parseListOf(const std::string &s, void *out,
             bool (*elem)(const std::string &, void *))
 {
     std::vector<T> v;
-    for (const std::string &e : splitList(s)) {
+    for (const std::string &e : splitConfigList(s)) {
         T x;
         if (!elem(e, &x))
             return false;
@@ -133,10 +115,27 @@ parseListOf(const std::string &s, void *out,
 
 } // namespace
 
+std::vector<std::string>
+splitConfigList(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    if (trim(s).empty())
+        return out;
+    std::size_t start = 0;
+    while (true) {
+        const std::size_t at = s.find(sep, start);
+        out.push_back(trim(s.substr(start, at - start)));
+        if (at == std::string::npos)
+            break;
+        start = at + 1;
+    }
+    return out;
+}
+
 std::string
 ConfigAssignment::where() const
 {
-    if (source == ConfigSource::Cli)
+    if (line == 0)
         return "--set " + key + "=" + value;
     return file + ":" + std::to_string(line);
 }
@@ -228,6 +227,18 @@ Config::setCli(const std::string &keyval, std::string *err)
     }
     asgs_.push_back(std::move(a));
     return true;
+}
+
+void
+Config::setPoint(const ConfigAssignment &axis, const std::string &key,
+                 const std::string &value)
+{
+    ConfigAssignment a = axis;
+    a.key = key;
+    a.value = value;
+    a.source = ConfigSource::Cli; // appended last, so it wins
+    a.consumed = false;
+    asgs_.push_back(std::move(a));
 }
 
 const ConfigAssignment *

@@ -47,7 +47,7 @@ struct ConfigAssignment
     int line = 0;     ///< 1-based line in @c file (0 for CLI)
     bool consumed = false; ///< matched by a registered parameter
 
-    /** "file:line" / "--set key=value" prefix for error messages. */
+    /** "file:line" (or "--set key=value" when line is 0) for errors. */
     std::string where() const;
 };
 
@@ -74,6 +74,14 @@ class Config
 
     /** Record a CLI `key=value` override (from --set). */
     bool setCli(const std::string &keyval, std::string *err);
+
+    /**
+     * Record one sweep point's `key=value`. It beats every file and
+     * CLI value, and its diagnostics name @p axis (the assignment
+     * that declared the sweep axis) by file and line.
+     */
+    void setPoint(const ConfigAssignment &axis, const std::string &key,
+                  const std::string &value);
 
     /**
      * The winning assignment for @p key — the last CLI one if any,
@@ -251,6 +259,10 @@ class Binder
     std::string err_;
     std::vector<Param> params_;
 };
+
+/** Split on @p sep, trimming each element; blank -> empty list. */
+std::vector<std::string> splitConfigList(const std::string &s,
+                                         char sep = ',');
 
 /// @name Value formatting (stable: format(parse(format(x))) == format(x))
 /// @{

@@ -9,6 +9,7 @@
 
 #include "glaze/machine.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "sim/config.hh"
 
 using namespace fugu;
@@ -353,7 +354,7 @@ TEST(Config, CheckUnknownInSkipsBenchLocalSections)
     Config tree;
     std::string err;
     ASSERT_TRUE(tree.loadString("machine.nodes = 4\n"
-                                "fig7.skews = 0, 0.1\n"
+                                "sweep.axis1 = gang.skew: 0, 0.1\n"
                                 "machine.bogus = 1\n",
                                 "m.cfg", &err))
         << err;
@@ -370,7 +371,7 @@ TEST(Config, CheckUnknownInSkipsBenchLocalSections)
 
     Config tree2;
     ASSERT_TRUE(tree2.loadString("machine.nodes = 4\n"
-                                 "fig7.skews = 0, 0.1\n",
+                                 "sweep.axis1 = gang.skew: 0, 0.1\n",
                                  "m2.cfg", &err))
         << err;
     Binder b2(tree2, Binder::Mode::Apply);
@@ -382,7 +383,84 @@ TEST(Config, CheckUnknownInSkipsBenchLocalSections)
     skipped.clear();
     EXPECT_TRUE(tree2.checkUnknownIn({"machine"}, &err, &skipped));
     ASSERT_EQ(skipped.size(), 1u);
-    EXPECT_EQ(skipped[0], "fig7.skews");
+    EXPECT_EQ(skipped[0], "sweep.axis1");
+}
+
+/** bench_sweep's spec: the shared registry plus the [sweep] section. */
+struct SweepFixture
+{
+    harness::SweepConfig sweep;
+    harness::BenchSpec spec;
+    harness::BenchContext ctx{"sweep"};
+
+    explicit SweepFixture(const std::string &scenario)
+    {
+        spec.params = [this](Binder &b) { sweep.bind(b); };
+        std::string err;
+        EXPECT_TRUE(ctx.tree.loadString(scenario, "grid.cfg", &err))
+            << err;
+    }
+
+    bool
+    expand(std::vector<harness::SweepPoint> *points, std::string *err)
+    {
+        return harness::applyTree(spec, ctx, err) &&
+               harness::expandSweep(spec, ctx, points, err);
+    }
+};
+
+TEST(Config, SweepAxisErrorsNameFileAndLine)
+{
+    const struct
+    {
+        const char *scenario;
+        const char *want;
+    } cases[] = {
+        {"[sweep]\naxis1 = apps.synth.nn: 1, 2\n",
+         "grid.cfg:2: unknown parameter 'apps.synth.nn'"},
+        {"[sweep]\naxis1 = gang.skew: 0\naxis2 = apps.synth.n: 10, ten\n",
+         "grid.cfg:3: parameter 'apps.synth.n' expects an unsigned "
+         "integer, got 'ten'"},
+        {"[sweep]\naxis1 = apps.synth.n: 1, 2 / apps.synth.groups: 3\n",
+         "grid.cfg:2: sweep.axis1 expects"},
+        {"[sweep]\naxis1 = apps.synth.n 1, 2\n",
+         "grid.cfg:2: sweep.axis1 expects"},
+    };
+    for (const auto &c : cases) {
+        SweepFixture f(c.scenario);
+        std::vector<harness::SweepPoint> points;
+        std::string err;
+        EXPECT_FALSE(f.expand(&points, &err)) << c.scenario;
+        EXPECT_NE(err.find(c.want), std::string::npos) << err;
+    }
+}
+
+TEST(Config, SweepPointsApplyAxesLikeSet)
+{
+    SweepFixture f("[gang]\nskew = 0.1\n[sweep]\n"
+                   "axis1 = apps.synth.n: 10, 100 / "
+                   "apps.synth.groups: 40, 4\n"
+                   "axis2 = gang.skew: 0, 0.25\n");
+    std::string err;
+    // An axis beats a --set of the same key.
+    ASSERT_TRUE(f.ctx.tree.setCli("gang.skew=0.3", &err)) << err;
+    std::vector<harness::SweepPoint> points;
+    ASSERT_TRUE(f.expand(&points, &err)) << err;
+    ASSERT_EQ(points.size(), 4u);
+    const std::vector<std::pair<std::string, std::string>> want{
+        {"apps.synth.n", "100"},
+        {"apps.synth.groups", "4"},
+        {"gang.skew", "0.25"}};
+    EXPECT_EQ(points[3].axes, want);
+    EXPECT_EQ(points[3].cfg->workloads.synth.n, 100u);
+    EXPECT_EQ(points[3].cfg->workloads.synth.groups, 4u);
+    EXPECT_EQ(points[3].cfg->gang.skew, 0.25);
+    EXPECT_EQ(points[0].cfg->gang.skew, 0.0);
+    // rel_runtime groups restart where axis2 wraps.
+    EXPECT_TRUE(points[0].groupStart);
+    EXPECT_FALSE(points[1].groupStart);
+    EXPECT_TRUE(points[2].groupStart);
+    EXPECT_FALSE(points[3].groupStart);
 }
 
 TEST(Config, OversizedMeshFailsLoudly)

@@ -7,7 +7,7 @@
  *                                every key against the shared
  *                                registry (machine/net/ni/costs/...)
  *
- * `check` accepts bench-local sections (fig7.*, abl.*, table4.*, ...)
+ * `check` accepts bench-local sections (sweep.*, abl.*, table4.*, ...)
  * without validating them — only the bench that owns a section knows
  * its keys; the CI scenario-smoke job covers those by running the
  * bench itself.
