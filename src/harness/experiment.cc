@@ -123,7 +123,8 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
 TenantRunStats
 runTenants(MachineConfig mcfg,
            std::vector<std::pair<std::string, AppBody>> jobs,
-           const GangConfig &gcfg, Cycle max_cycles)
+           const GangConfig &gcfg, Cycle max_cycles,
+           const std::string &trace_path)
 {
     fugu_assert(!jobs.empty());
     // Per-tenant latency attribution needs the trace's per-GID
@@ -146,6 +147,11 @@ runTenants(MachineConfig mcfg,
     out.faultEvents = faultEvents(m);
 
     const trace::TraceBuffer merged = m.mergedTrace();
+    if (!trace_path.empty()) {
+        std::string err;
+        if (!trace::writeTraceFiles(trace_path, merged, &err))
+            warn("trace write failed: ", err);
+    }
     std::vector<trace::TraceEvent> events;
     events.reserve(merged.size());
     for (std::size_t i = 0; i < merged.size(); ++i)
