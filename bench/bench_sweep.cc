@@ -1,18 +1,23 @@
 /**
  * @file
- * Table 6, Figures 7-10, the Section 5.1 pages claim and the timeout
- * and two-case ablations as one driver: each is a scenario file with
- * a [sweep] section (harness/sweep.hh), e.g.
+ * Table 6, Figures 7-10, the Section 5.1 pages claim, the timeout and
+ * two-case ablations and the fault-storm stress sweep as one driver:
+ * each is a scenario file with a [sweep] section (harness/sweep.hh),
+ * e.g.
  *
  *   bench_sweep --scenario scenarios/fig7_skew.cfg --json
  *
  * Every row has the workload, the axis values, `completed`, the
- * RunStats fields the paper reports, and three derived columns:
- * rel_runtime (over the first completed point of the last axis in its
- * group: Figure 8's normalization, the two-case slowdown), path_cost
- * (buffer_insert_min + buffer_null_handler + buffered_path_extra:
- * Figure 10's x axis) and Table 6's paper_* values (null elsewhere).
- * --trace records grid point 0.
+ * RunStats fields the paper and the stress sweep report, and three
+ * derived columns: rel_runtime (over the first completed point of the
+ * last axis in its group: Figure 8's normalization, the two-case
+ * slowdown), path_cost (buffer_insert_min + buffer_null_handler +
+ * buffered_path_extra: Figure 10's x axis) and Table 6's paper_*
+ * values (null elsewhere). --trace records grid point 0.
+ *
+ * The process prints FAIL and exits 1 if any cell records an
+ * invariant violation or does not complete, so every sweep doubles as
+ * a pass/fail gate.
  */
 
 #include <cmath>
@@ -102,19 +107,24 @@ main(int argc, char **argv)
                     ctx.trials, "app");
         for (const auto &axis : points.front().axes)
             std::printf(" %s", axis.first.c_str());
-        std::printf(" %9s %10s %7s %5s %8s %8s %7s %6s %5s\n",
+        std::printf(" %9s %10s %7s %5s %8s %8s %7s %6s %5s %7s %6s "
+                    "%4s\n",
                     "%buffered", "runtime", "rel", "pages", "timeouts",
-                    "msgs", "T_betw", "T_hand", "path");
+                    "msgs", "T_betw", "T_hand", "path", "inserts",
+                    "faults", "viol");
         ctx.report.rename(sweep.name);
         ctx.report.meta("nodes", ctx.machine.nodes);
         ctx.report.meta("trials", ctx.trials);
         ctx.report.meta("with_null", sweep.withNull);
 
-        double base = 0;
+        double base = 0, violations = 0;
+        bool completed = true;
         for (std::size_t i = 0; i < results.size(); ++i) {
             const std::string &app = apps[i / np];
             const SweepPoint &p = points[i % np];
             const RunStats &r = results[i];
+            violations += r.violations;
+            completed = completed && r.completed;
             const auto runtime = static_cast<double>(r.runtime);
             if (p.groupStart)
                 base = 0;
@@ -141,7 +151,7 @@ main(int argc, char **argv)
                 row.emplace_back(key, typed(value));
             }
             std::printf(" %9s %10.0f %7.3f %5u %8.0f %8llu %7.0f %6.0f "
-                        "%5llu\n",
+                        "%5llu %7.0f %6.0f %4.0f\n",
                         r.completed ? TablePrinter::num(r.bufferedPct, 2)
                                           .c_str()
                                     : "STUCK",
@@ -149,7 +159,8 @@ main(int argc, char **argv)
                         r.atomicityTimeouts,
                         static_cast<unsigned long long>(r.sent),
                         r.tBetween, r.tHand,
-                        static_cast<unsigned long long>(pathCost));
+                        static_cast<unsigned long long>(pathCost),
+                        r.bufferInserts, r.faultEvents, r.violations);
             row.insert(row.end(),
                        {{"completed", r.completed},
                         {"runtime", std::uint64_t{r.runtime}},
@@ -157,6 +168,9 @@ main(int argc, char **argv)
                         {"buffered_pct", r.bufferedPct},
                         {"max_vbuf_pages", r.maxVbufPages},
                         {"atomicity_timeouts", r.atomicityTimeouts},
+                        {"buffer_inserts", r.bufferInserts},
+                        {"fault_events", r.faultEvents},
+                        {"violations", r.violations},
                         {"t_between", r.tBetween},
                         {"t_hand", r.tHand},
                         {"rel_runtime", rel},
@@ -167,6 +181,19 @@ main(int argc, char **argv)
                         {"paper_t_hand", paper.thand}});
             ctx.report.row(std::move(row));
         }
+
+        if (violations > 0) {
+            std::printf("\nFAIL: %.0f invariant violation(s)\n",
+                        violations);
+            return 1;
+        }
+        if (!completed) {
+            std::printf("\nFAIL: at least one cell did not complete "
+                        "within the cycle budget\n");
+            return 1;
+        }
+        std::printf("\nPASS: zero invariant violations across the "
+                    "sweep\n");
         return 0;
     };
     return benchMain(spec, argc, argv);

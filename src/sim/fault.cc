@@ -1,16 +1,62 @@
 #include "sim/fault.hh"
 
+#include <iterator>
+
 #include "sim/config.hh"
 #include "sim/log.hh"
 
 namespace fugu::sim
 {
 
+namespace
+{
+
+/**
+ * Base rates of each named storm, in FaultClass order. They are sized
+ * so a quick stress run exercises each mechanism hundreds of times
+ * without wedging the schedule.
+ */
+const FaultConfig kStorms[] = {
+    {},                         // none
+    {.delayJitterProb = 0.30},  // jitter
+    {.inputFullProb = 0.05},    // inqfull
+    {.outputFullProb = 0.30},   // outqfull
+    {.frameDenyProb = 0.20},    // framedeny
+    {.divertStormProb = 0.50},  // divert
+    {.atomTimeoutProb = 0.50},  // timeout
+    {.pageFaultProb = 0.10},    // pagefault
+    {.delayJitterProb = 0.10,   // mixed
+     .inputFullProb = 0.02,
+     .outputFullProb = 0.10,
+     .frameDenyProb = 0.05,
+     .divertStormProb = 0.15,
+     .atomTimeoutProb = 0.15,
+     .pageFaultProb = 0.03},
+};
+static_assert(std::size(kStorms) ==
+              static_cast<std::size_t>(FaultClass::Mixed) + 1);
+
+} // namespace
+
 void
 bindConfig(Binder &b, FaultConfig &c)
 {
     b.item("enabled", c.enabled,
            "master switch for deterministic fault injection");
+    b.enumItem("class", c.cls,
+               {{"none", FaultClass::None},
+                {"jitter", FaultClass::Jitter},
+                {"inqfull", FaultClass::InqFull},
+                {"outqfull", FaultClass::OutqFull},
+                {"framedeny", FaultClass::FrameDeny},
+                {"divert", FaultClass::Divert},
+                {"timeout", FaultClass::Timeout},
+                {"pagefault", FaultClass::PageFault},
+                {"mixed", FaultClass::Mixed}},
+               "named storm: enables faults and fills each *_prob "
+               "still 0 with its base rate x fault.intensity");
+    b.item("intensity", c.intensity,
+           "scale factor on the fault.class base rates");
     b.item("seed", c.seed,
            "fault RNG seed; 0 derives it from machine.seed");
     b.item("delay_jitter_prob", c.delayJitterProb,
@@ -35,6 +81,22 @@ bindConfig(Binder &b, FaultConfig &c)
            "per-dispatch chance of a page fault in the handler path");
     b.item("tick_interval", c.tickInterval,
            "spacing of the per-node fault ticks", "cycles");
+}
+
+void
+resolveFaultClass(FaultConfig &c)
+{
+    if (c.cls == FaultClass::None)
+        return;
+    const FaultConfig &base = kStorms[static_cast<std::size_t>(c.cls)];
+    c.enabled = true;
+    for (double FaultConfig::*p :
+         {&FaultConfig::delayJitterProb, &FaultConfig::inputFullProb,
+          &FaultConfig::outputFullProb, &FaultConfig::frameDenyProb,
+          &FaultConfig::divertStormProb, &FaultConfig::atomTimeoutProb,
+          &FaultConfig::pageFaultProb})
+        if (c.*p == 0)
+            c.*p = base.*p * c.intensity;
 }
 
 FaultInjector::Stats::Stats(StatGroup *parent)

@@ -6,7 +6,8 @@
  * adversity: packet delay jitter, NI input/output queue-full bursts,
  * frame-pool exhaustion, forced divert storms, atomicity-timeout
  * storms and mid-handler page faults, each at a configurable rate on
- * the scenario/config tree (fault.*). Every decision draws from one
+ * the scenario/config tree (fault.*), or as one of the named storms
+ * that fault.class selects. Every decision draws from one
  * private Rng inside the owning Machine's single-threaded event loop,
  * so a faulted run is bit-identical across reruns and FUGU_THREADS
  * settings — the whole point is to drive the two-case delivery
@@ -36,9 +37,29 @@ namespace fugu::sim
 
 class Binder;
 
+/** The named fault storms (fault.class); their rates live in fault.cc. */
+enum class FaultClass
+{
+    None,
+    Jitter,
+    InqFull,
+    OutqFull,
+    FrameDeny,
+    Divert,
+    Timeout,
+    PageFault,
+    Mixed,
+};
+
 struct FaultConfig
 {
     bool enabled = false;
+
+    /** Named storm; resolveFaultClass turns it into the rates below. */
+    FaultClass cls = FaultClass::None;
+
+    /** Scale factor on the named storm's base rates. */
+    double intensity = 1.0;
 
     /** Injector RNG seed; 0 derives it from the machine seed. */
     std::uint64_t seed = 0;
@@ -79,6 +100,14 @@ struct FaultConfig
 
 /** Register FaultConfig's fields on the scenario/config tree. */
 void bindConfig(Binder &b, FaultConfig &c);
+
+/**
+ * Resolve fault.class: any class but none sets @c enabled and fills
+ * every *Prob that is still 0 with the class's base rate times
+ * @c intensity. An explicit rate therefore wins, and resolving twice
+ * changes nothing.
+ */
+void resolveFaultClass(FaultConfig &c);
 
 class FaultInjector
 {

@@ -354,20 +354,13 @@ runSynth(const glaze::MachineConfig &cfg)
                            /*with_null=*/false, /*gang=*/false, {});
 }
 
-/** The bench_stress fault cocktail, forcing heavy buffered traffic. */
+/** The mixed fault storm, forcing heavy buffered traffic. */
 RunStats
 runStorm(const glaze::MachineConfig &base)
 {
     glaze::MachineConfig cfg = base;
     cfg.seed = 11;
-    cfg.fault.enabled = true;
-    cfg.fault.delayJitterProb = 0.1;
-    cfg.fault.inputFullProb = 0.02;
-    cfg.fault.outputFullProb = 0.1;
-    cfg.fault.frameDenyProb = 0.05;
-    cfg.fault.divertStormProb = 0.15;
-    cfg.fault.atomTimeoutProb = 0.15;
-    cfg.fault.pageFaultProb = 0.03;
+    cfg.fault.cls = sim::FaultClass::Mixed;
     harness::Workloads wl;
     wl.barrier.barriers = 200;
     glaze::GangConfig g;

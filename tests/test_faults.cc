@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "core/arch.hh"
 #include "glaze/machine.hh"
 #include "harness/experiment.hh"
+#include "sim/config.hh"
 #include "sim/fault.hh"
 
 using namespace fugu;
@@ -28,47 +30,28 @@ using harness::RunStats;
 namespace
 {
 
-/** Enable one named fault class at a storm-level rate. */
-void
-applyClass(sim::FaultConfig &f, const std::string &cls)
+/** A 4-node config with @p sets applied as --set values, then fixed. */
+MachineConfig
+configWith(std::initializer_list<std::string> sets)
 {
-    f.enabled = true;
-    if (cls == "jitter") {
-        f.delayJitterProb = 0.3;
-    } else if (cls == "inqfull") {
-        f.inputFullProb = 0.05;
-    } else if (cls == "outqfull") {
-        f.outputFullProb = 0.3;
-    } else if (cls == "framedeny") {
-        f.frameDenyProb = 0.2;
-    } else if (cls == "divert") {
-        f.divertStormProb = 0.5;
-    } else if (cls == "timeout") {
-        f.atomTimeoutProb = 0.5;
-    } else if (cls == "pagefault") {
-        f.pageFaultProb = 0.1;
-    } else if (cls == "mixed") {
-        f.delayJitterProb = 0.1;
-        f.inputFullProb = 0.02;
-        f.outputFullProb = 0.1;
-        f.frameDenyProb = 0.05;
-        f.divertStormProb = 0.15;
-        f.atomTimeoutProb = 0.15;
-        f.pageFaultProb = 0.03;
-    } else {
-        FAIL() << "unknown class " << cls;
-    }
+    MachineConfig cfg;
+    cfg.nodes = 4;
+    cfg.seed = 11;
+    sim::Config tree;
+    std::string err;
+    for (const std::string &s : sets)
+        EXPECT_TRUE(tree.setCli(s, &err)) << err;
+    sim::Binder b(tree, sim::Binder::Mode::Apply);
+    bindConfig(b, cfg);
+    EXPECT_TRUE(b.ok()) << b.error();
+    return Machine::fix(cfg);
 }
 
 /** The stress.cfg shape in miniature: barrier + null, skewed gang. */
 MachineConfig
 stormConfig(const std::string &cls)
 {
-    MachineConfig cfg;
-    cfg.nodes = 4;
-    cfg.seed = 11;
-    applyClass(cfg.fault, cls);
-    return cfg;
+    return configWith({"fault.class=" + cls});
 }
 
 RunStats
@@ -214,6 +197,56 @@ TEST(AtomicityTest, TimeoutStormAgainstAtomicitySquatter)
     const RunStats replay = harness::runJob(cfg, factory, true, true,
                                             {}, 400000000ull);
     EXPECT_TRUE(r == replay);
+}
+
+/** The seven fault.*_prob rates, in declaration order. */
+std::array<double, 7>
+rates(const sim::FaultConfig &f)
+{
+    return {f.delayJitterProb, f.inputFullProb,  f.outputFullProb,
+            f.frameDenyProb,   f.divertStormProb, f.atomTimeoutProb,
+            f.pageFaultProb};
+}
+
+TEST(FaultTest, ClassResolvesToItsBaseRates)
+{
+    // Every storm at intensity 1 keeps the exact rates the stress
+    // sweep has always run; mixed at 0.5 is the isolation grid's.
+    const struct
+    {
+        const char *cls;
+        const char *intensity;
+        std::array<double, 7> want;
+    } rows[] = {
+        {"jitter", "1", {0.30, 0, 0, 0, 0, 0, 0}},
+        {"inqfull", "1", {0, 0.05, 0, 0, 0, 0, 0}},
+        {"outqfull", "1", {0, 0, 0.30, 0, 0, 0, 0}},
+        {"framedeny", "1", {0, 0, 0, 0.20, 0, 0, 0}},
+        {"divert", "1", {0, 0, 0, 0, 0.50, 0, 0}},
+        {"timeout", "1", {0, 0, 0, 0, 0, 0.50, 0}},
+        {"pagefault", "1", {0, 0, 0, 0, 0, 0, 0.10}},
+        {"mixed", "1", {0.10, 0.02, 0.10, 0.05, 0.15, 0.15, 0.03}},
+        {"mixed", "0.5", {0.05, 0.01, 0.05, 0.025, 0.075, 0.075, 0.015}},
+    };
+    for (const auto &r : rows) {
+        const sim::FaultConfig f =
+            configWith({std::string("fault.class=") + r.cls,
+                        std::string("fault.intensity=") + r.intensity})
+                .fault;
+        EXPECT_TRUE(f.enabled) << r.cls;
+        EXPECT_EQ(rates(f), r.want) << r.cls << " x " << r.intensity;
+        sim::FaultConfig again = f;
+        sim::resolveFaultClass(again);
+        EXPECT_EQ(rates(again), rates(f)) << r.cls << " is not idempotent";
+    }
+    EXPECT_FALSE(configWith({"fault.class=none"}).fault.enabled);
+
+    // An explicit nonzero rate beats the class; the rest still fill.
+    const sim::FaultConfig f =
+        configWith({"fault.class=mixed", "fault.divert_storm_prob=0.4"})
+            .fault;
+    EXPECT_EQ(rates(f), (std::array<double, 7>{0.10, 0.02, 0.10, 0.05,
+                                               0.4, 0.15, 0.03}));
 }
 
 TEST(FaultTest, DisabledByDefaultInjectsNothing)

@@ -180,14 +180,8 @@ TEST(StartupRaceTest, MessageBeforeFirstScheduleBuffersCleanly)
     // This exact pairing panicked with "no handler registered".
     MachineConfig cfg = baseConfig();
     cfg.ni.atomicityTimeout = 1000;
-    cfg.fault.enabled = true;
-    cfg.fault.delayJitterProb = 0.05;
-    cfg.fault.inputFullProb = 0.01;
-    cfg.fault.outputFullProb = 0.05;
-    cfg.fault.frameDenyProb = 0.025;
-    cfg.fault.divertStormProb = 0.075;
-    cfg.fault.atomTimeoutProb = 0.075;
-    cfg.fault.pageFaultProb = 0.015;
+    cfg.fault.cls = sim::FaultClass::Mixed;
+    cfg.fault.intensity = 0.5;
     GangConfig g;
     g.quantum = 20000;
     g.skew = 0.3;

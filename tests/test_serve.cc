@@ -36,16 +36,8 @@ runServe(const std::string &app, unsigned nodes, unsigned requests,
     glaze::MachineConfig cfg;
     cfg.nodes = nodes;
     cfg.seed = 7;
-    if (faults) {
-        cfg.fault.enabled = true;
-        cfg.fault.delayJitterProb = 0.10;
-        cfg.fault.inputFullProb = 0.02;
-        cfg.fault.outputFullProb = 0.10;
-        cfg.fault.frameDenyProb = 0.05;
-        cfg.fault.divertStormProb = 0.15;
-        cfg.fault.atomTimeoutProb = 0.15;
-        cfg.fault.pageFaultProb = 0.03;
-    }
+    if (faults)
+        cfg.fault.cls = sim::FaultClass::Mixed;
     serve::ServeConfig sc;
     sc.app = app;
     sc.requests = requests;
