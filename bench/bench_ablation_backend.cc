@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,44 +28,6 @@
 
 using namespace fugu;
 using namespace fugu::harness;
-
-namespace
-{
-
-constexpr core::NiBackendKind kAllBackends[] = {
-    core::NiBackendKind::StaticFifo,
-    core::NiBackendKind::Damq,
-    core::NiBackendKind::ZerocopyRemap,
-};
-
-std::vector<core::NiBackendKind>
-parseBackends(const std::string &csv)
-{
-    std::vector<core::NiBackendKind> out;
-    std::stringstream ss(csv);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-        const auto b = tok.find_first_not_of(" \t");
-        const auto e = tok.find_last_not_of(" \t");
-        if (b == std::string::npos)
-            continue;
-        const std::string name = tok.substr(b, e - b + 1);
-        bool found = false;
-        for (core::NiBackendKind k : kAllBackends)
-            if (name == core::toString(k)) {
-                out.push_back(k);
-                found = true;
-            }
-        if (!found)
-            fugu_fatal("abl.backends: unknown backend '", name,
-                       "' (expected static_fifo|damq|zerocopy_remap)");
-    }
-    if (out.empty())
-        fugu_fatal("abl.backends is empty");
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -114,8 +75,11 @@ main(int argc, char **argv)
             core::NiBackendKind backend;
             Cycle betw;
         };
-        const std::vector<core::NiBackendKind> backends =
-            parseBackends(backendsCsv);
+        std::vector<core::NiBackendKind> backends;
+        for (const std::string &name : sim::splitConfigList(backendsCsv))
+            backends.push_back(core::backendFromName(name));
+        if (backends.empty())
+            fugu_fatal("abl.backends is empty");
         std::vector<Point> points;
         for (core::NiBackendKind k : backends)
             for (Cycle betw : intervals)
