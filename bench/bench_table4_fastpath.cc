@@ -10,12 +10,7 @@
  * from the modelled code paths (core::CostModel), so this bench also
  * verifies that the implementation charges exactly the paper's
  * per-stage structure (and --set costs.* moves the measured numbers).
- *
- * Doubles as a google-benchmark binary (host performance of the
- * simulator paths); unrecognized flags pass through to its parser.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -30,9 +25,6 @@ using exec::CoTask;
 
 namespace
 {
-
-/** Effective base config, shared with the google-benchmark loops. */
-MachineConfig gBase;
 
 struct PathCosts
 {
@@ -77,10 +69,10 @@ oneKernelSend(Kernel *k, double *send_cost)
 
 /** Interrupt-path costs for user messages (Hard/Soft atomicity). */
 PathCosts
-measureUser(core::AtomicityMode mode,
+measureUser(const MachineConfig &base, core::AtomicityMode mode,
             const std::string &trace_path = "")
 {
-    MachineConfig cfg = gBase;
+    MachineConfig cfg = base;
     cfg.atomicity = mode;
     cfg.trace.enabled = !trace_path.empty();
     Machine m(cfg);
@@ -132,9 +124,9 @@ pollingReceiver(Process &p, double *poll_cost, bool *got)
 }
 
 double
-measurePolling(std::uint64_t polling_timeout)
+measurePolling(const MachineConfig &base, std::uint64_t polling_timeout)
 {
-    MachineConfig cfg = gBase;
+    MachineConfig cfg = base;
     cfg.ni.atomicityTimeout =
         polling_timeout; // keep revocation out of frame
     Machine m(cfg);
@@ -157,9 +149,9 @@ measurePolling(std::uint64_t polling_timeout)
 
 /** Kernel-to-kernel messaging (Table 4, first column). */
 PathCosts
-measureKernel()
+measureKernel(const MachineConfig &base)
 {
-    MachineConfig cfg = gBase;
+    MachineConfig cfg = base;
     cfg.atomicity = core::AtomicityMode::Kernel;
     Machine m(cfg);
     PathCosts out;
@@ -175,16 +167,16 @@ measureKernel()
 }
 
 void
-printTable(BenchReport &report, const std::string &trace_path,
-           std::uint64_t polling_timeout)
+printTable(BenchReport &report, const MachineConfig &base,
+           const std::string &trace_path, std::uint64_t polling_timeout)
 {
-    const PathCosts kernel = measureKernel();
+    const PathCosts kernel = measureKernel(base);
     // The traced run is the fast-path exemplar: one send, one
     // interrupt receive, hardware atomicity.
     const PathCosts hard =
-        measureUser(core::AtomicityMode::Hard, trace_path);
-    const PathCosts soft = measureUser(core::AtomicityMode::Soft);
-    const double poll = measurePolling(polling_timeout);
+        measureUser(base, core::AtomicityMode::Hard, trace_path);
+    const PathCosts soft = measureUser(base, core::AtomicityMode::Soft);
+    const double poll = measurePolling(base, polling_timeout);
 
     TablePrinter t({"Item", "kernel", "hard atom", "soft atom",
                     "paper(k/h/s)"},
@@ -214,28 +206,6 @@ printTable(BenchReport &report, const std::string &trace_path,
                 {"hard_atomicity", poll}});
 }
 
-void
-BM_InterruptReceiveHard(benchmark::State &state)
-{
-    for (auto _ : state) {
-        PathCosts c = measureUser(core::AtomicityMode::Hard);
-        benchmark::DoNotOptimize(c);
-        state.counters["sim_cycles"] = c.recvInterrupt;
-    }
-}
-BENCHMARK(BM_InterruptReceiveHard);
-
-void
-BM_KernelReceive(benchmark::State &state)
-{
-    for (auto _ : state) {
-        PathCosts c = measureKernel();
-        benchmark::DoNotOptimize(c);
-        state.counters["sim_cycles"] = c.recvInterrupt;
-    }
-}
-BENCHMARK(BM_KernelReceive);
-
 } // namespace
 
 int
@@ -245,7 +215,6 @@ main(int argc, char **argv)
 
     BenchSpec spec;
     spec.name = "table4_fastpath";
-    spec.passthroughArgs = true; // google-benchmark flags
     spec.defaults = [](BenchContext &ctx) { ctx.machine.nodes = 2; };
     spec.params = [&](sim::Binder &b) {
         auto s = b.push("table4");
@@ -255,10 +224,8 @@ main(int argc, char **argv)
                "cycles");
     };
     spec.body = [&](BenchContext &ctx) {
-        gBase = ctx.machine;
-        printTable(ctx.report, ctx.tracePath, pollingTimeout);
-        ::benchmark::Initialize(&ctx.argc, ctx.argv);
-        ::benchmark::RunSpecifiedBenchmarks();
+        printTable(ctx.report, ctx.machine, ctx.tracePath,
+                   pollingTimeout);
         return 0;
     };
     return benchMain(spec, argc, argv);

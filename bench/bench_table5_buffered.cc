@@ -12,8 +12,6 @@
  * with `table5.burst` messages.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/common.hh"
@@ -27,9 +25,6 @@ using exec::CoTask;
 
 namespace
 {
-
-/** Effective base config, shared with the google-benchmark loops. */
-MachineConfig gBase;
 
 struct BufferedRun
 {
@@ -70,9 +65,10 @@ burstSender(Process &p, int count)
 }
 
 BufferedRun
-run(int messages, const std::string &trace_path = "")
+run(const MachineConfig &base, int messages,
+    const std::string &trace_path = "")
 {
-    MachineConfig cfg = gBase;
+    MachineConfig cfg = base;
     cfg.alwaysBuffered = true;
     cfg.trace.enabled = !trace_path.empty();
     Machine m(cfg);
@@ -102,13 +98,14 @@ run(int messages, const std::string &trace_path = "")
 }
 
 void
-printTable(BenchReport &report, const std::string &trace_path,
-           unsigned burst)
+printTable(BenchReport &report, const MachineConfig &base,
+           const std::string &trace_path, unsigned burst)
 {
-    const BufferedRun one = run(1);
+    const BufferedRun one = run(base, 1);
     // The traced run is the buffered-path exemplar: every message
     // diverts into the software buffer and drains from it.
-    const BufferedRun many = run(static_cast<int>(burst), trace_path);
+    const BufferedRun many =
+        run(base, static_cast<int>(burst), trace_path);
     const double insert_max = one.kernelCycles;
     const double insert_min =
         (many.kernelCycles - one.kernelCycles) / (burst - 1);
@@ -141,18 +138,6 @@ printTable(BenchReport &report, const std::string &trace_path,
                 {"paper", 232u}});
 }
 
-void
-BM_BufferedDelivery(benchmark::State &state)
-{
-    for (auto _ : state) {
-        BufferedRun r = run(10);
-        benchmark::DoNotOptimize(r);
-        state.counters["insert_plus_handler"] =
-            (r.kernelCycles / r.inserts) + r.handlerMean;
-    }
-}
-BENCHMARK(BM_BufferedDelivery);
-
 } // namespace
 
 int
@@ -162,7 +147,6 @@ main(int argc, char **argv)
 
     BenchSpec spec;
     spec.name = "table5_buffered";
-    spec.passthroughArgs = true; // google-benchmark flags
     spec.defaults = [](BenchContext &ctx) { ctx.machine.nodes = 2; };
     spec.params = [&](sim::Binder &b) {
         auto s = b.push("table5");
@@ -177,10 +161,7 @@ main(int argc, char **argv)
                          "table5_buffered: table5.burst must be >= 2\n");
             return 2;
         }
-        gBase = ctx.machine;
-        printTable(ctx.report, ctx.tracePath, burst);
-        ::benchmark::Initialize(&ctx.argc, ctx.argv);
-        ::benchmark::RunSpecifiedBenchmarks();
+        printTable(ctx.report, ctx.machine, ctx.tracePath, burst);
         return 0;
     };
     return benchMain(spec, argc, argv);

@@ -94,7 +94,6 @@ benchMain(const BenchSpec &spec, int argc, char **argv)
     bool wantJson = false, listParams = false, dumpConfig = false;
     std::string jsonPath, dumpPath;
     std::string err;
-    ctx.passArgv_.push_back(argv[0]);
 
     auto fail = [&](const std::string &msg) {
         std::fprintf(stderr, "%s: %s\n", spec.name.c_str(),
@@ -156,16 +155,11 @@ benchMain(const BenchSpec &spec, int argc, char **argv)
         } else if (arg("--help", nullptr) || a == "-h") {
             usage(spec.name);
             return 0;
-        } else if (spec.passthroughArgs) {
-            ctx.passArgv_.push_back(argv[i]);
         } else {
             usage(spec.name);
             return fail("unknown argument '" + a + "'");
         }
     }
-    ctx.argc = static_cast<int>(ctx.passArgv_.size());
-    ctx.passArgv_.push_back(nullptr);
-    ctx.argv = ctx.passArgv_.data();
 
     // ---- Bind + apply the tree -------------------------------------
     std::string listing;

@@ -29,7 +29,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "harness/benchjson.hh"
 #include "harness/experiment.hh"
@@ -69,23 +68,12 @@ struct BenchContext
 
     /** --json report (disabled unless the flag was given). */
     BenchReport report;
-
-    /** Leftover argv for passthrough benches (google-benchmark). */
-    int argc = 0;
-    char **argv = nullptr;
-    std::vector<char *> passArgv_; ///< storage behind argv
 };
 
 struct BenchSpec
 {
     /** Bench name (report file BENCH_<name>.json). */
     std::string name;
-
-    /**
-     * Leave unrecognized --flags in ctx.argc/argv instead of
-     * erroring (for benches that hand argv to google-benchmark).
-     */
-    bool passthroughArgs = false;
 
     /** Adjust programmatic defaults before the tree is applied. */
     std::function<void(BenchContext &)> defaults;
