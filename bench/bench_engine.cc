@@ -219,28 +219,6 @@ benchTraceOverhead(BenchReport &report, std::uint64_t n, unsigned reps)
 }
 
 /**
- * schedule/fire with batched same-cycle draining disabled: the
- * one-pop-per-fire fallback. Kept as a gated section so the fallback
- * path cannot silently rot, and so the batching win stays visible in
- * the report (batched/unbatched ratio on the same host).
- */
-Section
-benchScheduleFireNoBatch(std::uint64_t n)
-{
-    EventQueue eq;
-    eq.setBatchFire(false);
-    std::uint64_t remaining = n;
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr unsigned kInFlight = 64;
-    for (unsigned i = 0; i < kInFlight; ++i)
-        eq.scheduleFn(Chain{&eq, &remaining, {i, 0, 0, 0, 0}},
-                      eq.now() + 1, "chain");
-    eq.run();
-    const double s = seconds(t0);
-    return {"schedule_fire_nobatch", n, s, n / s};
-}
-
-/**
  * End-to-end packet path: inject max-size messages on an 8-node mesh,
  * all pairs, and carry each through latency modelling, the arrival
  * ring and sink delivery. Exercises the inline payload, the flat
@@ -393,7 +371,6 @@ main(int argc, char **argv)
 
         const Section sections[] = {
             benchScheduleFire(n),
-            benchScheduleFireNoBatch(n),
             benchEventFire(n),
             benchScheduleCancel(n),
             benchReschedule(n),

@@ -417,7 +417,7 @@ EventQueue::run(Cycle until, std::uint64_t max_events)
                 now_ = until;
             return n;
         }
-        if (!batchFire_ || !nx.fromRing) {
+        if (!nx.fromRing) {
             fireNext(nx);
             ++n;
             continue;

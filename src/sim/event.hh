@@ -264,16 +264,6 @@ class EventQueue
     std::uint64_t run(Cycle until = kMaxCycle,
                       std::uint64_t max_events = ~std::uint64_t(0));
 
-    /**
-     * Enable/disable batched same-cycle firing in run(). On (the
-     * default), run() drains every live entry of a ring bucket per
-     * bucket touch — one occupancy-bitmap scan per simulated cycle
-     * instead of one per event. Off falls back to the one-pop-per-fire
-     * loop; firing order is identical either way (bucket FIFO order).
-     */
-    void setBatchFire(bool on) { batchFire_ = on; }
-    bool batchFire() const { return batchFire_; }
-
     bool empty() const { return live_ == 0; }
 
     /** Number of live (non-cancelled) pending events. */
@@ -377,7 +367,6 @@ class EventQueue
 
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    bool batchFire_ = true;
     std::size_t live_ = 0;
     std::size_t stale_ = 0;     // dead entries still in heap_
     std::size_t ringStale_ = 0; // dead entries still in ring buckets
