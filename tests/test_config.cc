@@ -161,7 +161,8 @@ TEST(Config, EnumAndBoolParsing)
     std::string err;
     ASSERT_TRUE(tree.loadString("machine.atomicity = soft\n"
                                 "machine.always_buffered = yes\n"
-                                "trace.enabled = 1\n",
+                                "trace.enabled = 1\n"
+                                "fault.class = divert\n",
                                 "e.cfg", &err))
         << err;
     glaze::MachineConfig machine;
@@ -173,6 +174,7 @@ TEST(Config, EnumAndBoolParsing)
     EXPECT_EQ(machine.atomicity, core::AtomicityMode::Soft);
     EXPECT_TRUE(machine.alwaysBuffered);
     EXPECT_TRUE(machine.trace.enabled);
+    EXPECT_EQ(machine.fault.cls, FaultClass::Divert);
 
     ASSERT_TRUE(tree.setCli("machine.atomicity=firm", &err)) << err;
     Binder b2(tree, Binder::Mode::Apply);
@@ -180,6 +182,20 @@ TEST(Config, EnumAndBoolParsing)
     EXPECT_FALSE(b2.ok());
     EXPECT_NE(b2.error().find("kernel|hard|soft"), std::string::npos)
         << b2.error();
+
+    // An unknown storm names its file:line and the menu.
+    Config bad;
+    ASSERT_TRUE(bad.loadString("[fault]\nclass = hurricane\n", "f.cfg",
+                               &err))
+        << err;
+    Binder b3(bad, Binder::Mode::Apply);
+    bindAll(b3, machine, gang, wl);
+    EXPECT_FALSE(b3.ok());
+    EXPECT_NE(b3.error().find("f.cfg:2: parameter 'fault.class' expects "
+                              "one of none|jitter|inqfull|outqfull|"
+                              "framedeny|divert|timeout|pagefault|mixed"),
+              std::string::npos)
+        << b3.error();
 }
 
 TEST(Config, BackendAcceptsKnownNamesRejectsUnknown)
@@ -273,6 +289,7 @@ TEST(Config, OverriddenDumpReplaysToSameMachineAndStats)
     ASSERT_TRUE(tree.setCli("machine.nodes=4", &err)) << err;
     ASSERT_TRUE(tree.setCli("gang.skew=0.3", &err)) << err;
     ASSERT_TRUE(tree.setCli("apps.barrier.barriers=40", &err)) << err;
+    ASSERT_TRUE(tree.setCli("fault.class=mixed", &err)) << err;
 
     glaze::MachineConfig machine;
     glaze::GangConfig gang;
@@ -299,6 +316,7 @@ TEST(Config, OverriddenDumpReplaysToSameMachineAndStats)
     }
     machine2 = glaze::Machine::fix(machine2);
     EXPECT_EQ(dump, dumpAll(tree2, machine2, gang2, wl2));
+    EXPECT_TRUE(machine2.fault.enabled);
 
     const harness::RunStats a = harness::runTrials(
         machine, wl.factory("barrier"), /*with_null=*/true,
@@ -425,6 +443,8 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
          "grid.cfg:2: sweep.axis1 expects"},
         {"[sweep]\naxis1 = apps.synth.n 1, 2\n",
          "grid.cfg:2: sweep.axis1 expects"},
+        {"[sweep]\naxis1 = fault.class: mixed, nosuch\n",
+         "grid.cfg:2: parameter 'fault.class' expects one of none|"},
     };
     for (const auto &c : cases) {
         SweepFixture f(c.scenario);
