@@ -393,7 +393,7 @@ Workloads::names()
 }
 
 AppFactory
-Workloads::factory(const std::string &name) const
+Workloads::find(const std::string &name) const
 {
     if (name == "barnes")
         return seeded(barnes, [](unsigned n, const BarnesAppConfig &c) {
@@ -439,7 +439,16 @@ Workloads::factory(const std::string &name) const
         return seeded(covert, [](unsigned n, const CovertAppConfig &c) {
             return makeCovertRxApp(n, c);
         });
-    fugu_fatal("unknown workload '", name, "'");
+    return {};
+}
+
+AppFactory
+Workloads::factory(const std::string &name) const
+{
+    AppFactory app = find(name);
+    if (!app)
+        fugu_fatal("unknown workload '", name, "'");
+    return app;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers,

@@ -229,6 +229,10 @@ struct Workloads
     /** Names in the paper's order. */
     static const std::vector<std::string> &names();
 
+    /** The named workload's factory; empty for an unknown name. */
+    AppFactory find(const std::string &name) const;
+
+    /** find(), but an unknown name is fatal. */
     AppFactory factory(const std::string &name) const;
 };
 

@@ -63,6 +63,22 @@ bool
 expandSweep(const BenchSpec &spec, const BenchContext &ctx,
             std::vector<SweepPoint> *out, std::string *err)
 {
+    if (const sim::ConfigAssignment *decl =
+            ctx.tree.find("sweep.workloads")) {
+        const auto names = splitConfigList(decl->value);
+        if (names.empty()) {
+            *err = decl->where() + ": sweep.workloads is empty";
+            return false;
+        }
+        for (const std::string &name : names) {
+            if (!ctx.workloads.find(name)) {
+                *err = decl->where() + ": unknown workload '" + name +
+                       "' in sweep.workloads";
+                return false;
+            }
+        }
+    }
+
     std::vector<Axis> axes;
     std::size_t npoints = 1;
     for (const char *key : {"sweep.axis1", "sweep.axis2"}) {

@@ -55,7 +55,8 @@ struct SweepPoint
  * Expand sweep.axis1 x sweep.axis2 of ctx.tree into grid points. Each
  * point is ctx.tree plus its axis values, applied by applyTree just as
  * --set values are. A malformed axis, an unknown key or a value of the
- * wrong type fails here, before any run, naming the axis's file:line.
+ * wrong type fails here, before any run, naming the axis's file:line;
+ * so does an empty sweep.workloads or an unknown name in it.
  */
 bool expandSweep(const BenchSpec &spec, const BenchContext &ctx,
                  std::vector<SweepPoint> *out, std::string *err);

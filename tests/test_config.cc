@@ -445,6 +445,9 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
          "grid.cfg:2: sweep.axis1 expects"},
         {"[sweep]\naxis1 = fault.class: mixed, nosuch\n",
          "grid.cfg:2: parameter 'fault.class' expects one of none|"},
+        {"[sweep]\nworkloads =\n", "grid.cfg:2: sweep.workloads is empty"},
+        {"[sweep]\nworkloads = barnes, nosuch\n",
+         "grid.cfg:2: unknown workload 'nosuch' in sweep.workloads"},
     };
     for (const auto &c : cases) {
         SweepFixture f(c.scenario);
