@@ -2,8 +2,10 @@
  * @file
  * Machine scale sweep: host events/sec of whole-machine simulation
  * across node counts, on the synthetic request workload (Section
- * 5.2's shape, sized per node count). Each cell also reports the
- * process-wide peak resident set (VmHWM, monotone across cells).
+ * 5.2's shape, sized per node: apps.synth.groups and apps.synth.n
+ * default to 2 groups of 50 requests, 20 under FUGU_QUICK). Each cell
+ * also reports the process-wide peak resident set (VmHWM, monotone
+ * across cells).
  *
  * Writes BENCH_machine.json with --json; the CI perf gate diffs its
  * events/sec against the committed baseline. --trace records the
@@ -57,41 +59,36 @@ main(int argc, char **argv)
     std::vector<unsigned> nodeCounts =
         quick ? std::vector<unsigned>{64, 256}
               : std::vector<unsigned>{64, 256, 1024};
-    unsigned groups = 2;  // synchronization groups per node
-    unsigned requests = quick ? 20 : 50; // requests per group
     unsigned reps = 3; // best-of runs per cell (noise floor)
 
     BenchSpec spec;
     spec.name = "machine";
-    spec.defaults = [](BenchContext &ctx) {
+    spec.defaults = [quick](BenchContext &ctx) {
         // Engine throughput, not checker throughput: the invariant
         // checker's bookkeeping (and its O(nodes^2) sweeps) would
         // dominate at scale; the test suite covers correctness.
         ctx.machine.check.enabled = false;
+        ctx.workloads.synth.groups = 2;
+        ctx.workloads.synth.n = quick ? 20 : 50;
     };
     spec.params = [&](sim::Binder &b) {
         auto s = b.push("scale");
         b.item("apps", appsCsv,
                "workloads to sweep (csv of workload names)");
         b.list("nodes", nodeCounts, "node counts to sweep (csv)");
-        b.item("groups", groups, "synth groups per node");
-        b.item("requests", requests, "synth requests per group");
         b.item("reps", reps,
                "runs per cell; the fastest is reported");
     };
     spec.body = [&](BenchContext &ctx) {
+        const apps::SynthAppConfig &synth = ctx.workloads.synth;
         ctx.report.meta("workload", "synth");
-        ctx.report.meta("groups_per_node", groups);
-        ctx.report.meta("requests_per_group", requests);
+        ctx.report.meta("groups_per_node", synth.groups);
+        ctx.report.meta("requests_per_group", synth.n);
         ctx.report.meta("units", "host events/sec");
-
-        Workloads wl = ctx.workloads;
-        wl.synth.groups = groups;
-        wl.synth.n = requests;
 
         std::printf("Machine-simulation scale sweep (synth: "
                     "%u groups/node x %u requests)\n",
-                    groups, requests);
+                    synth.groups, synth.n);
         std::printf("%-6s  %6s  %8s  %12s  %14s  %10s\n", "app",
                     "nodes", "secs", "events", "events/sec", "peak rss");
 
@@ -109,7 +106,7 @@ main(int argc, char **argv)
                 for (unsigned rep = 0; rep < std::max(reps, 1u); ++rep) {
                     const auto t0 = std::chrono::steady_clock::now();
                     const RunStats rr =
-                        runJob(cfg, wl.factory(app),
+                        runJob(cfg, ctx.workloads.factory(app),
                                /*with_null=*/false, /*gang=*/false,
                                ctx.gang, ctx.maxCycles,
                                std::exchange(tracePath, ""));
