@@ -19,8 +19,9 @@ set(quick ${small} --set apps.water.molecules=12 --set apps.lu.n=32
 # first quantum and never buffer; 10k makes the gang schedule bite.
 set(gang_quick --set gang.quantum=10000)
 
-# The paper experiments and the stress sweep all run through
-# bench_sweep; axes are narrowed to a quick grid with --set.
+# The paper experiments, the timeout, two-case and backend ablations
+# and the stress sweep all run through bench_sweep; axes are narrowed
+# to a quick grid with --set.
 if(NAME STREQUAL "fig10")
     set(bench bench_sweep)
     set(args --scenario=${scenarios}/fig10_buffered_cost.cfg
@@ -71,9 +72,10 @@ elseif(NAME STREQUAL "table5")
     set(bench bench_table5_buffered)
     set(args --scenario=${scenarios}/table5_buffered.cfg)
 elseif(NAME STREQUAL "ablation_backend")
-    set(bench bench_ablation_backend)
+    set(bench bench_sweep)
     set(args --scenario=${scenarios}/ablation_backend.cfg
-        --set abl.intervals=300,1000 --set abl.groups_total=300)
+        --set sweep.axis2=apps.synth.t_between:300,1000
+        --set apps.synth.groups=3)
 elseif(NAME STREQUAL "isolation")
     set(bench bench_isolation)
     set(args --scenario=${scenarios}/isolation.cfg)

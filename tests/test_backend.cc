@@ -437,24 +437,58 @@ TEST(BackendMachineTest, OverflowControlSurvivesTightFrames)
     }
 }
 
+/**
+ * Synth at the backend ablation's operating point
+ * (scenarios/ablation_backend.cfg at T_betw 300, 3 groups): 8 nodes,
+ * gang-scheduled against null at quantum 50000 and skew 0.3.
+ */
+RunStats
+runAblationPoint(const glaze::MachineConfig &cfg)
+{
+    harness::Workloads wl;
+    wl.synth.n = 100;
+    wl.synth.groups = 3;
+    wl.synth.tBetween = 300;
+    wl.synth.handlerStall = 200;
+    glaze::GangConfig g;
+    g.quantum = 50000;
+    g.skew = 0.3;
+    return harness::runJob(cfg, wl.factory("synth"),
+                           /*with_null=*/true, /*gang=*/true, g);
+}
+
 TEST(BackendMachineTest, ZerocopyBuffersCheaperThanStaticFifo)
 {
     // The acceptance criterion in executable form: at equal load with
     // every message diverted, page-flip delivery finishes the same
     // job in strictly less simulated time than the copying path.
-    glaze::MachineConfig fifo = backendConfig(
-        NiBackendKind::StaticFifo, 16);
-    fifo.alwaysBuffered = true;
-    glaze::MachineConfig zc = backendConfig(
-        NiBackendKind::ZerocopyRemap, 16);
-    zc.alwaysBuffered = true;
-    const RunStats rf = runSynth(fifo);
-    const RunStats rz = runSynth(zc);
-    ASSERT_TRUE(rf.completed);
-    ASSERT_TRUE(rz.completed);
-    EXPECT_GT(rf.buffered, 0.0);
-    EXPECT_EQ(rf.sent, rz.sent);
-    EXPECT_LT(rz.runtime, rf.runtime);
+    // Standalone on 16 nodes, and at the ablation's point (where
+    // static_fifo takes 630954 cycles and zerocopy_remap 436813).
+    const struct
+    {
+        const char *input;
+        unsigned nodes;
+        std::uint64_t seed;
+        RunStats (*run)(const glaze::MachineConfig &);
+    } inputs[] = {
+        {"standalone", 16, 7, runSynth},
+        {"ablation point", 8, 1, runAblationPoint},
+    };
+    for (const auto &in : inputs) {
+        glaze::MachineConfig fifo =
+            backendConfig(NiBackendKind::StaticFifo, in.nodes);
+        fifo.seed = in.seed;
+        fifo.alwaysBuffered = true;
+        glaze::MachineConfig zc = fifo;
+        zc.ni.backend = NiBackendKind::ZerocopyRemap;
+        const RunStats rf = in.run(fifo);
+        const RunStats rz = in.run(zc);
+        ASSERT_TRUE(rf.completed) << in.input;
+        ASSERT_TRUE(rz.completed) << in.input;
+        EXPECT_GT(rf.buffered, 0.0) << in.input;
+        EXPECT_EQ(rf.sent, rz.sent) << in.input;
+        EXPECT_LT(rz.runtime, rf.runtime) << in.input;
+    }
 }
 
 } // namespace
