@@ -13,13 +13,11 @@
  * and force traffic onto the buffered path, but FIFO order, content
  * transparency, protection, conservation — and, with the limits set,
  * bounded starvation and frame-pool share — must all hold. The
- * process exits nonzero on any violation or wedged cell, so CI runs
- * it as a single pass/fail gate; host-throughput perf rows for the
- * perf gate are only emitted under --set iso.perf=true, keeping the
- * default output deterministic. --trace records cell 0.
+ * process exits 1 on any violation or wedged cell, so CI runs it as a
+ * single pass/fail gate, and 2 before any run on an empty iso.* list
+ * or an unknown victim or adversary. --trace records cell 0.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -70,8 +68,6 @@ main(int argc, char **argv)
     std::string adversariesCsv = "none,hog,abuser,squatter,covert";
     std::string backendsCsv = "static_fifo,damq,zerocopy_remap";
     std::vector<double> loads{1.0};
-    bool perf = false;
-    unsigned perfReps = 3;
 
     BenchSpec spec;
     spec.name = "isolation";
@@ -94,20 +90,27 @@ main(int argc, char **argv)
                "comma-separated ni.backend values for the grid");
         b.list("loads", loads,
                "comma-separated adversary pressure multipliers");
-        b.item("perf", perf,
-               "also emit host events/sec rows for the perf gate "
-               "(nondeterministic; off for replay identity)");
-        b.item("perf_reps", perfReps,
-               "perf: runs per backend; the fastest is reported");
     };
     spec.body = [&](BenchContext &ctx) {
+        std::string err;
+        if (!checkList(ctx, "iso.victims", &err, "workload",
+                       [&](const std::string &name) {
+                           return bool(ctx.workloads.find(name));
+                       }) ||
+            !checkList(ctx, "iso.adversaries", &err, "adversary",
+                       [](const std::string &name) {
+                           return name == "none" || name == "hog" ||
+                                  name == "abuser" ||
+                                  name == "squatter" || name == "covert";
+                       }) ||
+            !checkList(ctx, "iso.backends", &err) ||
+            !checkList(ctx, "iso.loads", &err)) {
+            std::fprintf(stderr, "isolation: %s\n", err.c_str());
+            return 2;
+        }
         const auto victims = sim::splitConfigList(victimsCsv);
         const auto advs = sim::splitConfigList(adversariesCsv);
         const auto backends = sim::splitConfigList(backendsCsv);
-        fugu_assert(!victims.empty() && !advs.empty() &&
-                        !backends.empty() && !loads.empty(),
-                    "iso.victims/adversaries/backends/loads must be "
-                    "non-empty");
         for (const std::string &backend : backends)
             core::backendFromName(backend); // unknown names exit here
 
@@ -266,72 +269,6 @@ main(int argc, char **argv)
                  {"covert_accuracy", covert[i].accuracy()},
                  {"covert_bits_per_mcycle", bitsPerMcycle},
                  {"violations", r.violations}});
-        }
-
-        if (perf) {
-            // Host-throughput rows for the CI perf gate: the abuser
-            // pairing (the heaviest mode-transition churn) once per
-            // backend, best of perf_reps runs. Sizes are scaled well
-            // past the grid's (the grid favors a fast default run;
-            // the gate needs each rep long enough that host noise
-            // stays under the regression threshold).
-            Workloads pw = ctx.workloads;
-            pw.barrier.barriers *= 16;
-            pw.abuser.messages *= 16;
-            for (const auto &backend : backends) {
-                glaze::MachineConfig mcfg = ctx.machine;
-                mcfg.ni.backend = core::backendFromName(backend);
-                // The oversized abuser legitimately starves itself
-                // far past any sane service-gap limit; perf rows
-                // measure host speed, not isolation, so the judges
-                // and the storm stay off here (the grid above runs
-                // them armed).
-                mcfg.check.serviceGapLimit = 0;
-                mcfg.check.frameShareLimit = 0.0;
-                mcfg.fault = {};
-                double secs = 0;
-                std::uint64_t events = 0;
-                for (unsigned rep = 0; rep < std::max(perfReps, 1u);
-                     ++rep) {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    const TenantRunStats r = runTenants(
-                        mcfg,
-                        {{"victim", pw.factory("barrier")(
-                                        mcfg.nodes, mcfg.seed)},
-                         {"abuser", pw.factory("abuser")(
-                                        mcfg.nodes, mcfg.seed)}},
-                        ctx.gang, ctx.maxCycles);
-                    const double s =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-                    if (!r.completed) {
-                        std::fprintf(stderr,
-                                     "FAIL: perf run on %s did not "
-                                     "complete\n",
-                                     backend.c_str());
-                        return 1;
-                    }
-                    if (rep == 0 || s < secs) {
-                        secs = s;
-                        events = r.events;
-                    }
-                }
-                const double eps =
-                    secs > 0 ? static_cast<double>(events) / secs : 0;
-                std::printf("perf %-14s  %.3fs  %llu events  "
-                            "%.0f events/sec\n",
-                            backend.c_str(), secs,
-                            static_cast<unsigned long long>(events),
-                            eps);
-                ctx.report.row(
-                    {{"section", "isolation_" + backend},
-                     {"app", "abuser"},
-                     {"nodes", ctx.machine.nodes},
-                     {"secs", secs},
-                     {"events", events},
-                     {"events_per_sec", eps}});
-            }
         }
 
         if (totalViolations > 0) {

@@ -7,9 +7,9 @@
  * also reports the process-wide peak resident set (VmHWM, monotone
  * across cells).
  *
- * Writes BENCH_machine.json with --json; the CI perf gate diffs its
- * events/sec against the committed baseline. --trace records the
- * first run.
+ * Writes BENCH_machine.json with --json; --trace records the first
+ * run. An empty scale.apps or scale.nodes, or an unknown workload,
+ * fails before any run (exit 2).
  */
 
 #include <algorithm>
@@ -80,6 +80,16 @@ main(int argc, char **argv)
                "runs per cell; the fastest is reported");
     };
     spec.body = [&](BenchContext &ctx) {
+        std::string err;
+        if (!checkList(ctx, "scale.apps", &err, "workload",
+                       [&](const std::string &name) {
+                           return bool(ctx.workloads.find(name));
+                       }) ||
+            !checkList(ctx, "scale.nodes", &err)) {
+            std::fprintf(stderr, "machine: %s\n", err.c_str());
+            return 2;
+        }
+
         const apps::SynthAppConfig &synth = ctx.workloads.synth;
         ctx.report.meta("workload", "synth");
         ctx.report.meta("groups_per_node", synth.groups);
@@ -100,7 +110,7 @@ main(int argc, char **argv)
 
                 // Best of reps runs: host noise only ever slows a run
                 // down, so the fastest rep is the least-noisy
-                // estimate and what the CI gate compares.
+                // estimate.
                 RunStats r;
                 double secs = 0;
                 for (unsigned rep = 0; rep < std::max(reps, 1u); ++rep) {

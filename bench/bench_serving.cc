@@ -10,16 +10,13 @@
  * path, and reports per-request p50/p95/p99 latency split by the
  * delivery case that served the request. All serving rows are pure
  * simulation output — bit-identical for a fixed seed whatever
- * FUGU_THREADS — so CI replays the JSON for identity. Host-timing
- * rows (events/sec, for the perf gate) are only emitted under
- * --set serving.perf=true, keeping the default output deterministic.
+ * FUGU_THREADS — so CI replays the JSON for identity.
  *
  * Fault storms run against this tier unchanged: set fault.* on the
  * config tree (e.g. --set fault.class=mixed); the invariant checker
  * stays on and the process exits nonzero on any violation.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -76,9 +73,6 @@ main(int argc, char **argv)
         quick ? std::vector<double>{0.5, 1, 2, 4}
               : std::vector<double>{0.5, 1, 2, 4, 8};
     bool multiprog = true;
-    bool perf = false;
-    unsigned perfReps = 3;
-    double perfOffered = 2.0;
 
     BenchSpec spec;
     spec.name = "serving";
@@ -106,14 +100,6 @@ main(int argc, char **argv)
         b.item("multiprog", multiprog,
                "gang-schedule against the null app so quantum "
                "switches exercise the buffered path");
-        b.item("perf", perf,
-               "also emit host events/sec rows for the perf gate "
-               "(host timing; breaks JSON replay identity)");
-        b.item("perf_reps", perfReps,
-               "perf: runs per app; the fastest is reported");
-        b.item("perf_offered", perfOffered,
-               "perf: fixed poisson offered load",
-               "arrivals/kcycle/node");
     };
     spec.body = [&](BenchContext &ctx) {
         const auto apps = sim::splitConfigList(appsCsv);
@@ -246,69 +232,6 @@ main(int argc, char **argv)
                  {"buf_p95", sr.latBuffered.percentile(95)},
                  {"buf_p99", sr.latBuffered.percentile(99)},
                  {"violations", c.rs.violations}});
-        }
-
-        if (perf) {
-            // Host-throughput rows for the CI perf gate: one per app
-            // at a fixed mid-sweep load, best of perf_reps runs.
-            for (const auto &app : apps) {
-                serve::ServeConfig sc = scfg;
-                sc.app = app;
-                sim::ArrivalConfig ac = acfg;
-                ac.mix = "poisson";
-                ac.ratePerKcycle = perfOffered;
-                glaze::MachineConfig cfg = ctx.machine;
-                AppFactory fac = [sc, ac, &cfg](unsigned n,
-                                                std::uint64_t seed) {
-                    serve::ServeConfig s2 = sc;
-                    s2.seed = seed;
-                    sim::ArrivalConfig a2 = ac;
-                    a2.seed = seed;
-                    return serve::makeServingApp(
-                        n, s2, a2,
-                        std::make_shared<
-                            std::vector<serve::ServeResult>>(
-                            cfg.nodes));
-                };
-                double secs = 0;
-                std::uint64_t events = 0;
-                for (unsigned rep = 0; rep < std::max(perfReps, 1u);
-                     ++rep) {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    const RunStats r =
-                        runJob(cfg, fac, multiprog, multiprog,
-                               ctx.gang, ctx.maxCycles);
-                    const double s = std::chrono::duration<double>(
-                                         std::chrono::steady_clock::now() -
-                                         t0)
-                                         .count();
-                    if (!r.completed) {
-                        std::fprintf(stderr,
-                                     "FAIL: perf run of %s did not "
-                                     "complete\n",
-                                     app.c_str());
-                        return 1;
-                    }
-                    if (rep == 0 || s < secs) {
-                        secs = s;
-                        events = r.events;
-                    }
-                }
-                const double eps =
-                    secs > 0 ? static_cast<double>(events) / secs : 0;
-                std::printf("perf %-4s  %.3fs  %llu events  "
-                            "%.0f events/sec\n",
-                            app.c_str(), secs,
-                            static_cast<unsigned long long>(events),
-                            eps);
-                ctx.report.row(
-                    {{"section", "serving_" + app},
-                     {"app", app},
-                     {"nodes", ctx.machine.nodes},
-                     {"secs", secs},
-                     {"events", events},
-                     {"events_per_sec", eps}});
-            }
         }
 
         if (totalViolations > 0) {

@@ -1,104 +1,174 @@
 #!/usr/bin/env python3
-"""Performance-regression gate over committed BENCH_*.json baselines.
-
-Compares a freshly produced bench report against the baseline checked
-into bench/baselines/ and fails (exit 1) when any row's events/sec
-regressed by more than the threshold (default 10%).
-
-Rows are matched by their identity cells (section/app/nodes —
-whichever the bench emits); the compared metric is events_per_sec.
-Because CI runners and developer machines differ wildly in absolute
-speed, the default mode normalizes: every baseline row is scaled by
-the median current/baseline ratio across all matched rows, so the
-gate triggers on *relative* regressions — one path getting slower
-while the rest of the bench did not. A slowdown that hits every row
-uniformly is indistinguishable from a slower host and passes; that is
-the price of a host-portable gate (--absolute compares raw numbers
-for same-host A/B runs). Rows present in the baseline but missing
-from the current report fail the gate — silent coverage loss is a
-regression too. Current rows absent from the baseline are a warning
-by default (the gate still passes) and a failure under --strict, so
-a bench that grows a new gated section cannot silently ship it
-ungated — regenerating bench/baselines/ is part of the change.
+"""Same-host A/B perf gate: host wall-clock of fixed reference runs,
+a parent checkout against a change checkout.
 
 Usage:
-  ci/perf_gate.py BASELINE.json CURRENT.json [--threshold 0.10]
-                  [--absolute] [--strict]
+  ci/perf_gate.py PARENT CHANGE
+
+PARENT and CHANGE are source checkouts, each with a Release build in
+its build/ directory (at least bench_engine, bench_machine_scale,
+bench_serving, bench_isolation and bench_sweep). Each side runs its
+own binaries on its own scenario files, at FUGU_THREADS=1, so both
+do the same simulated work on one core.
+
+The gate runs ROUNDS rounds. A round runs every reference three times
+back to back -- parent, change and parent again, starting at a
+different one of the three each round -- so each invocation carries
+its own A/A calibration. Each round gives two paired wall-clock
+ratios per reference, change/parent and parent/parent (the second
+parent run over the first), and the gate reads their medians.
+
+It exits 1 when, for any reference:
+  - the change/parent paired median exceeds 1 + LIMIT (a regression);
+  - the parent/parent paired median is more than LIMIT from 1.0
+    ("unresolved: host too noisy to gate", not a pass);
+  - a change-side run exits non-zero.
+A reference the parent cannot run (no binary or scenario file, or a
+non-zero exit) is printed as `new` and not compared.
 """
 
-import argparse
-import json
+import os
+import re
 import statistics
+import subprocess
 import sys
+import time
 
-IDENTITY_KEYS = ("section", "app", "nodes")
-METRIC = "events_per_sec"
+ROUNDS = 7
+LIMIT = 0.10
+
+# (name, command run from the checkout's root). Together they cover
+# the event kernel, large meshes, the serving tier, every NI backend
+# under runTenants with tracing on, and the paper apps gang-scheduled
+# and at paper scale. The isolation grid runs its victim at 16x: the
+# shipped grid alone takes well under a second, too short to gate.
+REFERENCES = [
+    ("engine", "bench_engine"),
+    ("scale1k_synth",
+     "bench_machine_scale --scenario scenarios/scale1k.cfg"
+     " --set scale.apps=synth --set scale.reps=1"),
+    ("serving", "bench_serving --scenario scenarios/serving.cfg"),
+    ("isolation",
+     "bench_isolation --scenario scenarios/isolation.cfg"
+     " --set apps.barrier.barriers=6400"),
+    ("fig7", "bench_sweep --scenario scenarios/fig7_skew.cfg"),
+    ("table6", "bench_sweep --scenario scenarios/table6_appchar.cfg"),
+]
 
 
-def rows_by_identity(report):
-    out = {}
-    for row in report.get("rows", []):
-        if METRIC not in row:
-            continue  # e.g. bench_engine's trace-overhead gate row
-        key = tuple((k, row[k]) for k in IDENTITY_KEYS if k in row)
-        out[key] = row[METRIC]
-    return out
+def die(msg):
+    print(f"perf_gate: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
+def compiler(tree):
+    """The build's compiler version line; exit 2 unless Release."""
+    try:
+        with open(os.path.join(tree, "build", "CMakeCache.txt")) as f:
+            cache = dict(re.findall(r"^(\w+):\w+=(.*)$", f.read(), re.M))
+    except OSError as e:
+        die(f"{tree}: no CMake build in build/ ({e.strerror})")
+    if cache.get("CMAKE_BUILD_TYPE") != "Release":
+        die(f"{tree}/build is not a Release build")
+    cxx = cache.get("CMAKE_CXX_COMPILER", "c++")
+    version = subprocess.run([cxx, "--version"], capture_output=True,
+                             text=True).stdout.splitlines()
+    return version[0] if version else cxx
+
+
+def run(tree, command, env):
+    """Run one reference in @tree; return (wall seconds, rc, output)."""
+    argv = command.split()
+    argv[0] = os.path.join(tree, "build", "bench", argv[0])
+    t0 = time.perf_counter()
+    try:
+        p = subprocess.run(argv, cwd=tree, env=env, text=True,
+                           stdout=subprocess.PIPE,
+                           stderr=subprocess.STDOUT)
+    except OSError as e:
+        return 0.0, 127, str(e)
+    return time.perf_counter() - t0, p.returncode, p.stdout
+
+
+def spread(xs):
+    """'median [q1, q3]' of @xs seconds."""
+    med = statistics.median(xs)
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 \
+        else (med, med, med)
+    return f"{med:.3f} [{q1:.3f}, {q3:.3f}]"
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("current")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="allowed fractional regression (default 0.10)")
-    ap.add_argument("--absolute", action="store_true",
-                    help="skip host normalization (same-host A/B)")
-    ap.add_argument("--strict", action="store_true",
-                    help="fail (not warn) on current rows missing "
-                         "from the baseline")
-    args = ap.parse_args()
+    if len(sys.argv) != 3:
+        die("usage: ci/perf_gate.py PARENT CHANGE")
+    parent, change = (os.path.abspath(t) for t in sys.argv[1:])
+    env = dict(os.environ, FUGU_THREADS="1")
+    for knob in ("FUGU_QUICK", "FUGU_PAPER_SCALE", "FUGU_BENCH_N"):
+        env.pop(knob, None)
 
-    with open(args.baseline) as f:
-        base = rows_by_identity(json.load(f))
-    with open(args.current) as f:
-        cur = rows_by_identity(json.load(f))
-    if not base:
-        print(f"FAIL: no comparable rows in {args.baseline}")
-        return 1
+    print(f"nproc {os.cpu_count()}, FUGU_THREADS=1, {ROUNDS} rounds, "
+          f"limit {LIMIT:.2f}")
+    print(f"parent {parent}: {compiler(parent)}")
+    print(f"change {change}: {compiler(change)}", flush=True)
 
-    matched = {k: (base[k], cur[k]) for k in base if k in cur}
-    missing = sorted(k for k in base if k not in cur)
-    for k in missing:
-        print(f"FAIL: baseline row missing from current report: "
-              f"{dict(k)}")
+    sides = (("parent", parent), ("change", change), ("parent2", parent))
+    secs = {name: {s: [] for s, _ in sides} for name, _ in REFERENCES}
+    new, failed = set(), {}
+    for r in range(ROUNDS):
+        order = sides[r % 3:] + sides[:r % 3]
+        for name, command in REFERENCES:
+            if name in failed:
+                continue
+            for side, tree in order:
+                if side != "change" and name in new:
+                    continue
+                s, rc, out = run(tree, command, env)
+                if rc == 0:
+                    secs[name][side].append(s)
+                elif side == "change":
+                    failed[name] = rc
+                    print(f"\n{name}: change run exited {rc}:\n"
+                          + "\n".join(out.splitlines()[-5:]))
+                    break
+                else:
+                    new.add(name)
+        print(f"round {r + 1}/{ROUNDS} done", flush=True)
 
-    extra = sorted(k for k in cur if k not in base)
-    for k in extra:
-        kind = "FAIL" if args.strict else "WARN"
-        print(f"{kind}: current row not in baseline (not gated): "
-              f"{dict(k)} — regenerate bench/baselines/ to cover it")
-
-    scale = 1.0
-    if not args.absolute and matched:
-        scale = statistics.median(c / b for b, c in matched.values())
-        print(f"host scale (median current/baseline): {scale:.3f}")
-
-    failures = len(missing)
-    if args.strict:
-        failures += len(extra)
-    for key, (b, c) in sorted(matched.items()):
-        floor = (1.0 - args.threshold) * b * scale
-        verdict = "ok" if c >= floor else "FAIL"
-        print(f"{verdict}: {dict(key)}: {c:,.0f} events/sec vs "
-              f"baseline {b:,.0f} (scaled floor {floor:,.0f})")
-        if c < floor:
-            failures += 1
+    print(f"\n{'reference':14} {'parent s: median [q1, q3]':28} "
+          f"{'change s: median [q1, q3]':28} {'chg/par':>7} "
+          f"{'par/par':>7}  verdict")
+    failures = 0
+    for name, command in REFERENCES:
+        t = secs[name]
+        par = t["parent"] + t["parent2"]
+        cells = [spread(par) if par else "-",
+                 spread(t["change"]) if t["change"] else "-", "-", "-"]
+        if name in failed:
+            verdict = f"FAIL: change run exited {failed[name]}"
+        elif name in new:
+            verdict = "new"
+        else:
+            pairs = len(t["change"])
+            ab = statistics.median(t["change"][i] / t["parent"][i]
+                                   for i in range(pairs))
+            aa = statistics.median(t["parent2"][i] / t["parent"][i]
+                                   for i in range(pairs))
+            cells[2:] = f"{ab:.3f}", f"{aa:.3f}"
+            if abs(aa - 1.0) > LIMIT:
+                verdict = "unresolved: host too noisy to gate"
+            elif ab > 1.0 + LIMIT:
+                verdict = "FAIL: slower than parent"
+            else:
+                verdict = "ok"
+        failures += verdict not in ("ok", "new")
+        print(f"{name:14} {cells[0]:28} {cells[1]:28} {cells[2]:>7} "
+              f"{cells[3]:>7}  {verdict}")
+        print(f"{'':14} $ {command}")
 
     if failures:
-        print(f"\n{failures} perf-gate failure(s); if intentional, "
-              f"regenerate bench/baselines/ and commit the change")
+        print(f"\nperf gate FAILED: {failures} reference(s)")
         return 1
-    print(f"\nperf gate passed ({len(matched)} rows)")
+    print("\nperf gate passed")
     return 0
 
 

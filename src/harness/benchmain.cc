@@ -83,6 +83,29 @@ applyTree(const BenchSpec &spec, BenchContext &ctx, std::string *err,
     return true;
 }
 
+bool
+checkList(const BenchContext &ctx, const std::string &key,
+          std::string *err, const std::string &what,
+          const std::function<bool(const std::string &)> &known)
+{
+    const sim::ConfigAssignment *decl = ctx.tree.find(key);
+    if (!decl)
+        return true;
+    const auto names = sim::splitConfigList(decl->value);
+    if (names.empty()) {
+        *err = decl->where() + ": " + key + " is empty";
+        return false;
+    }
+    for (const std::string &name : names) {
+        if (known && !known(name)) {
+            *err = decl->where() + ": unknown " + what + " '" + name +
+                   "' in " + key;
+            return false;
+        }
+    }
+    return true;
+}
+
 int
 benchMain(const BenchSpec &spec, int argc, char **argv)
 {

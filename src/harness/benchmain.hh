@@ -100,6 +100,18 @@ void bindAll(sim::Binder &b, BenchContext &ctx, const BenchSpec &spec);
 bool applyTree(const BenchSpec &spec, BenchContext &ctx,
                std::string *err, std::string *listing = nullptr);
 
+/**
+ * Check a grid list before any run: the list @p key of ctx.tree must
+ * be non-empty, and @p known, if given, must accept every element
+ * (@p what names one in the message, e.g. "workload"). A key left at
+ * its default passes. @return false with @p err naming the key's
+ * file:line, or its --set.
+ */
+bool checkList(
+    const BenchContext &ctx, const std::string &key, std::string *err,
+    const std::string &what = "",
+    const std::function<bool(const std::string &)> &known = nullptr);
+
 } // namespace fugu::harness
 
 #endif // FUGU_HARNESS_BENCHMAIN_HH

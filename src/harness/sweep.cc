@@ -63,21 +63,11 @@ bool
 expandSweep(const BenchSpec &spec, const BenchContext &ctx,
             std::vector<SweepPoint> *out, std::string *err)
 {
-    if (const sim::ConfigAssignment *decl =
-            ctx.tree.find("sweep.workloads")) {
-        const auto names = splitConfigList(decl->value);
-        if (names.empty()) {
-            *err = decl->where() + ": sweep.workloads is empty";
-            return false;
-        }
-        for (const std::string &name : names) {
-            if (!ctx.workloads.find(name)) {
-                *err = decl->where() + ": unknown workload '" + name +
-                       "' in sweep.workloads";
-                return false;
-            }
-        }
-    }
+    if (!checkList(ctx, "sweep.workloads", err, "workload",
+                   [&](const std::string &name) {
+                       return bool(ctx.workloads.find(name));
+                   }))
+        return false;
 
     std::vector<Axis> axes;
     std::size_t npoints = 1;
