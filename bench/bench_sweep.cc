@@ -1,9 +1,9 @@
 /**
  * @file
  * Table 6, Figures 7-10, the Section 5.1 pages claim, the timeout,
- * two-case and NI-backend ablations and the fault-storm stress sweep
- * as one driver: each is a scenario file with a [sweep] section
- * (harness/sweep.hh), e.g.
+ * two-case and NI-backend ablations, the fault-storm stress sweep and
+ * the open-loop serving sweep as one driver: each is a scenario file
+ * with a [sweep] section (harness/sweep.hh), e.g.
  *
  *   bench_sweep --scenario scenarios/fig7_skew.cfg --json
  *
@@ -16,11 +16,19 @@
  * buffered_path_extra: Figure 10's x axis) and Table 6's paper_*
  * values (null elsewhere). --trace records grid point 0.
  *
+ * The workload picks the run kind: the serving workloads (kv, rpc)
+ * run through runServing, and their rows add the request outcome:
+ * goodput (completed requests per kcycle per node over the measured
+ * span), SLO attainment, the buffered-service fraction and request
+ * latency split by the delivery case that served it (req_fast_*,
+ * req_buf_*).
+ *
  * The process prints FAIL and exits 1 if any cell records an
  * invariant violation or does not complete, so every sweep doubles as
  * a pass/fail gate.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +74,14 @@ typed(const std::string &v)
     return !v.empty() && *end == '\0' ? JsonValue(d) : JsonValue(v);
 }
 
+double
+pct(std::uint64_t part, std::uint64_t whole)
+{
+    return whole ? 100.0 * static_cast<double>(part) /
+                       static_cast<double>(whole)
+                 : 0.0;
+}
+
 } // namespace
 
 int
@@ -86,17 +102,28 @@ main(int argc, char **argv)
 
         // Workload-major over the grid. Every run builds private
         // machines, so the whole matrix runs on parallelFor and rows
-        // print afterwards in order, identical to a serial run.
+        // print afterwards in order, identical to a serial run. The
+        // workload picks the run kind; only serving cells fill
+        // `requests`.
         const std::size_t np = points.size();
-        std::vector<RunStats> results(apps.size() * np);
+        std::vector<ServeStats> results(apps.size() * np);
         parallelFor(results.size(), [&](std::size_t i) {
             const BenchContext &p = *points[i % np].cfg;
-            results[i] = runTrials(
-                p.machine, p.workloads.factory(apps[i / np]),
-                sweep.withNull, /*gang=*/sweep.withNull, p.gang,
-                p.trials, p.maxCycles,
-                i == 0 ? ctx.tracePath : std::string());
+            const std::string &app = apps[i / np];
+            const std::string tp = i == 0 ? ctx.tracePath : "";
+            if (Workloads::serves(app))
+                results[i] = runServing(p.machine, p.workloads, app,
+                                        sweep.withNull, sweep.withNull,
+                                        p.gang, p.trials, p.maxCycles,
+                                        tp);
+            else
+                results[i].run = runTrials(
+                    p.machine, p.workloads.factory(app), sweep.withNull,
+                    /*gang=*/sweep.withNull, p.gang, p.trials,
+                    p.maxCycles, tp);
         });
+        const bool serving =
+            std::any_of(apps.begin(), apps.end(), Workloads::serves);
 
         std::printf("%s: %zu workload(s) x %zu point(s), %s, %u "
                     "trial(s)\n%-8s",
@@ -107,11 +134,15 @@ main(int argc, char **argv)
         for (const auto &axis : points.front().axes)
             std::printf(" %s", axis.first.c_str());
         std::printf(" %9s %10s %7s %5s %8s %8s %7s %6s %5s %7s %6s "
-                    "%4s %6s %6s %7s %7s\n",
+                    "%4s %6s %6s %7s %7s",
                     "%buffered", "runtime", "rel", "pages", "timeouts",
                     "msgs", "T_betw", "T_hand", "path", "inserts",
                     "faults", "viol", "fast50", "fast95", "buf50",
                     "buf95");
+        if (serving)
+            std::printf(" %7s %5s %7s %8s %8s", "goodput", "SLO%",
+                        "bufreq%", "reqf99", "reqb99");
+        std::printf("\n");
         ctx.report.rename(sweep.name);
         ctx.report.meta("nodes", ctx.machine.nodes);
         ctx.report.meta("trials", ctx.trials);
@@ -122,7 +153,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < results.size(); ++i) {
             const std::string &app = apps[i / np];
             const SweepPoint &p = points[i % np];
-            const RunStats &r = results[i];
+            const RunStats &r = results[i].run;
             violations += r.violations;
             completed = completed && r.completed;
             const auto runtime = static_cast<double>(r.runtime);
@@ -156,7 +187,7 @@ main(int argc, char **argv)
             const double bufP95 = r.bufLatency.percentile(95);
             std::printf(" %9s %10.0f %7.3f %5u %8.0f %8llu %7.0f %6.0f "
                         "%5llu %7.0f %6.0f %4.0f %6.0f %6.0f %7.0f "
-                        "%7.0f\n",
+                        "%7.0f",
                         r.completed ? TablePrinter::num(r.bufferedPct, 2)
                                           .c_str()
                                     : "STUCK",
@@ -189,6 +220,43 @@ main(int argc, char **argv)
                         {"paper_messages", paper.msgs},
                         {"paper_t_between", paper.tbetw},
                         {"paper_t_hand", paper.thand}});
+            if (Workloads::serves(app)) {
+                const serve::ServeResult &sr = results[i].requests;
+                const double goodput =
+                    sr.span() ? static_cast<double>(sr.completed) *
+                                    1000.0 /
+                                    static_cast<double>(sr.span()) /
+                                    p.cfg->machine.nodes
+                              : 0.0;
+                const HistogramData &fast = sr.latFast;
+                const HistogramData &buf = sr.latBuffered;
+                const double slo = pct(sr.sloMet, sr.completed);
+                const double bufReq = pct(buf.count, sr.completed);
+                std::printf(" %7.3f %5.1f %7.1f %8.0f %8.0f", goodput,
+                            slo, bufReq, fast.percentile(99),
+                            buf.percentile(99));
+                row.insert(
+                    row.end(),
+                    {{"generated", sr.offeredArrivals},
+                     {"completed_requests", sr.completed},
+                     {"goodput_per_kcycle_node", goodput},
+                     {"span_cycles", std::uint64_t{sr.span()}},
+                     {"slo_met_pct", slo},
+                     {"served_buffered_pct",
+                      pct(sr.servedBuffered, sr.completed)},
+                     {"buffered_req_pct", bufReq},
+                     {"local_hits", sr.localHits},
+                     {"puts", sr.puts},
+                     {"req_fast_n", fast.count},
+                     {"req_fast_p50", fast.percentile(50)},
+                     {"req_fast_p95", fast.percentile(95)},
+                     {"req_fast_p99", fast.percentile(99)},
+                     {"req_buf_n", buf.count},
+                     {"req_buf_p50", buf.percentile(50)},
+                     {"req_buf_p95", buf.percentile(95)},
+                     {"req_buf_p99", buf.percentile(99)}});
+            }
+            std::printf("\n");
             ctx.report.row(std::move(row));
         }
 

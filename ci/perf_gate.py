@@ -7,9 +7,9 @@ Usage:
 
 PARENT and CHANGE are source checkouts, each with a Release build in
 its build/ directory (at least bench_engine, bench_machine_scale,
-bench_serving, bench_isolation and bench_sweep). Each side runs its
-own binaries on its own scenario files, at FUGU_THREADS=1, so both
-do the same simulated work on one core.
+bench_isolation and bench_sweep). Each side runs its own binaries
+on its own scenario files, at FUGU_THREADS=1, so both do the same
+simulated work on one core.
 
 The gate runs ROUNDS rounds. A round runs every reference three times
 back to back -- parent, change and parent again, starting at a
@@ -47,7 +47,7 @@ REFERENCES = [
     ("scale1k_synth",
      "bench_machine_scale --scenario scenarios/scale1k.cfg"
      " --set scale.apps=synth --set scale.reps=1"),
-    ("serving", "bench_serving --scenario scenarios/serving.cfg"),
+    ("serving", "bench_sweep --scenario scenarios/serving.cfg"),
     ("isolation",
      "bench_isolation --scenario scenarios/isolation.cfg"
      " --set apps.barrier.barriers=6400"),

@@ -232,11 +232,20 @@ runMany(std::vector<JobFn> jobs)
     return out;
 }
 
-RunStats
-runTrials(const MachineConfig &mcfg, const AppFactory &app,
-          bool with_null, bool gang, const GangConfig &gcfg,
-          unsigned trials, Cycle max_cycles,
-          const std::string &trace_path)
+namespace
+{
+
+/**
+ * @p trials runs of run(t, cfg, tp) differing only in cfg.seed, on
+ * parallelFor, returned in seed order. Only the first trial is
+ * traced: one machine, one recorder, so the file's bytes do not
+ * depend on trial interleaving.
+ */
+std::vector<RunStats>
+runSeeded(const MachineConfig &mcfg, unsigned trials,
+          const std::string &trace_path,
+          const std::function<RunStats(unsigned t, const MachineConfig &cfg,
+                                       const std::string &tp)> &run)
 {
     fugu_assert(trials >= 1);
     std::vector<JobFn> jobs;
@@ -244,23 +253,24 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
     for (unsigned t = 0; t < trials; ++t) {
         MachineConfig cfg = mcfg;
         cfg.seed = mcfg.seed + 1000003ull * t;
-        // Trace the first trial only: one machine, one recorder, so
-        // the file's bytes do not depend on trial interleaving.
         const std::string tp = t == 0 ? trace_path : std::string();
-        jobs.push_back(
-            [cfg, &app, with_null, gang, gcfg, max_cycles, tp] {
-                return runJob(cfg, app, with_null, gang, gcfg,
-                              max_cycles, tp);
-            });
+        jobs.push_back([t, cfg, tp, &run] { return run(t, cfg, tp); });
     }
-    std::vector<RunStats> results = runMany(std::move(jobs));
+    return runMany(std::move(jobs));
+}
 
-    // Accumulate in seed order so the averages are bit-identical to a
-    // serial run (including the partial sums a failed run leaves).
+/**
+ * Average @p results up to the first incomplete one, accumulating in
+ * seed order so the averages are bit-identical to a serial run
+ * (including the partial sums a failed run leaves).
+ */
+RunStats
+average(const std::vector<RunStats> &results)
+{
+    const auto trials = static_cast<unsigned>(results.size());
     RunStats acc;
     acc.completed = true;
-    for (unsigned t = 0; t < trials; ++t) {
-        const RunStats &r = results[t];
+    for (const RunStats &r : results) {
         acc.violations += r.violations;
         acc.faultEvents += r.faultEvents;
         if (!r.completed) {
@@ -298,6 +308,48 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
     return acc;
 }
 
+} // namespace
+
+RunStats
+runTrials(const MachineConfig &mcfg, const AppFactory &app,
+          bool with_null, bool gang, const GangConfig &gcfg,
+          unsigned trials, Cycle max_cycles,
+          const std::string &trace_path)
+{
+    return average(runSeeded(
+        mcfg, trials, trace_path,
+        [&](unsigned, const MachineConfig &cfg, const std::string &tp) {
+            return runJob(cfg, app, with_null, gang, gcfg, max_cycles,
+                          tp);
+        }));
+}
+
+ServeStats
+runServing(const MachineConfig &mcfg, const Workloads &wl,
+           const std::string &name, bool with_null, bool gang,
+           const GangConfig &gcfg, unsigned trials, Cycle max_cycles,
+           const std::string &trace_path)
+{
+    // One slot vector per trial: trials run concurrently, and each
+    // machine's nodes write only their own.
+    std::vector<std::shared_ptr<std::vector<serve::ServeResult>>> slots(
+        trials);
+    const std::vector<RunStats> results = runSeeded(
+        mcfg, trials, trace_path,
+        [&](unsigned t, const MachineConfig &cfg, const std::string &tp) {
+            slots[t] = std::make_shared<std::vector<serve::ServeResult>>(
+                cfg.nodes);
+            return runJob(cfg, wl.serving(name, slots[t]), with_null,
+                          gang, gcfg, max_cycles, tp);
+        });
+
+    ServeStats out;
+    out.run = average(results);
+    for (unsigned t = 0; t < trials && results[t].completed; ++t)
+        out.requests.merge(serve::mergeSlots(*slots[t]));
+    return out;
+}
+
 Workloads::Workloads()
 {
     // Scaled-down defaults: every bench finishes in seconds.
@@ -319,47 +371,29 @@ Workloads::bind(sim::Binder &b)
                "use the paper's data-set sizes (Table 6) for every "
                "size the scenario does not set explicitly");
     }
-    auto s = b.push("apps");
     {
-        auto s2 = b.push("barnes");
-        apps::bindConfig(b, barnes);
+        auto s = b.push("apps");
+        auto app = [&b](const char *name, auto &cfg) {
+            auto s2 = b.push(name);
+            apps::bindConfig(b, cfg);
+        };
+        app("barnes", barnes);
+        app("water", water);
+        app("lu", lu);
+        app("barrier", barrier);
+        app("enum", enumerate);
+        app("synth", synth);
+        app("hog", hog);
+        app("abuser", abuser);
+        app("squatter", squatter);
+        app("covert", covert);
     }
     {
-        auto s2 = b.push("water");
-        apps::bindConfig(b, water);
+        auto s = b.push("serve");
+        serve::bindConfig(b, serve);
     }
-    {
-        auto s2 = b.push("lu");
-        apps::bindConfig(b, lu);
-    }
-    {
-        auto s2 = b.push("barrier");
-        apps::bindConfig(b, barrier);
-    }
-    {
-        auto s2 = b.push("enum");
-        apps::bindConfig(b, enumerate);
-    }
-    {
-        auto s2 = b.push("synth");
-        apps::bindConfig(b, synth);
-    }
-    {
-        auto s2 = b.push("hog");
-        apps::bindConfig(b, hog);
-    }
-    {
-        auto s2 = b.push("abuser");
-        apps::bindConfig(b, abuser);
-    }
-    {
-        auto s2 = b.push("squatter");
-        apps::bindConfig(b, squatter);
-    }
-    {
-        auto s2 = b.push("covert");
-        apps::bindConfig(b, covert);
-    }
+    auto s = b.push("arrival");
+    sim::bindConfig(b, arrival);
 }
 
 void
@@ -396,49 +430,35 @@ AppFactory
 Workloads::find(const std::string &name) const
 {
     if (name == "barnes")
-        return seeded(barnes, [](unsigned n, const BarnesAppConfig &c) {
-            return makeBarnesApp(n, c);
-        });
+        return seeded(barnes, makeBarnesApp);
     if (name == "water")
-        return seeded(water, [](unsigned n, const WaterAppConfig &c) {
-            return makeWaterApp(n, c);
-        });
+        return seeded(water, makeWaterApp);
     if (name == "lu")
         return seeded(lu, [](unsigned n, const LuAppConfig &c) {
             return makeLuApp(n, c);
         });
     if (name == "barrier")
-        return seeded(barrier, [](unsigned n, const BarrierAppConfig &c) {
-            return makeBarrierApp(n, c);
-        });
+        return seeded(barrier, makeBarrierApp);
     if (name == "enum")
         return seeded(enumerate, [](unsigned n, const EnumAppConfig &c) {
             return makeEnumApp(n, c);
         });
     if (name == "synth")
-        return seeded(synth, [](unsigned n, const SynthAppConfig &c) {
-            return makeSynthApp(n, c);
-        });
+        return seeded(synth, makeSynthApp);
     if (name == "hog")
-        return seeded(hog, [](unsigned n, const HogAppConfig &c) {
-            return makeHogApp(n, c);
-        });
+        return seeded(hog, makeHogApp);
     if (name == "abuser")
-        return seeded(abuser, [](unsigned n, const AbuserAppConfig &c) {
-            return makeAbuserApp(n, c);
-        });
+        return seeded(abuser, makeAbuserApp);
     if (name == "squatter")
-        return seeded(squatter, [](unsigned n, const SquatterAppConfig &c) {
-            return makeSquatterApp(n, c);
-        });
+        return seeded(squatter, makeSquatterApp);
     if (name == "covert_tx")
-        return seeded(covert, [](unsigned n, const CovertAppConfig &c) {
-            return makeCovertTxApp(n, c);
-        });
+        return seeded(covert, makeCovertTxApp);
     if (name == "covert_rx")
         return seeded(covert, [](unsigned n, const CovertAppConfig &c) {
             return makeCovertRxApp(n, c);
         });
+    if (serves(name))
+        return serving(name, nullptr);
     return {};
 }
 
@@ -449,6 +469,25 @@ Workloads::factory(const std::string &name) const
     if (!app)
         fugu_fatal("unknown workload '", name, "'");
     return app;
+}
+
+AppFactory
+Workloads::serving(
+    const std::string &name,
+    std::shared_ptr<std::vector<serve::ServeResult>> slots) const
+{
+    serve::ServeConfig sc = serve;
+    sc.app = name;
+    return [sc, ac = arrival, slots](unsigned n, std::uint64_t seed) {
+        serve::ServeConfig s = sc;
+        s.seed = seed;
+        sim::ArrivalConfig a = ac;
+        a.seed = seed;
+        return serve::makeServingApp(
+            n, s, a,
+            slots ? slots
+                  : std::make_shared<std::vector<serve::ServeResult>>(n));
+    };
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers,

@@ -10,13 +10,16 @@
 #define FUGU_HARNESS_EXPERIMENT_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/adversary.hh"
 #include "apps/workloads.hh"
 #include "glaze/machine.hh"
+#include "serve/serve.hh"
 #include "trace/export.hh"
+#include "sim/arrival.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 
@@ -183,12 +186,14 @@ std::vector<RunStats> runMany(std::vector<JobFn> jobs);
 
 /**
  * The named workload set used by the Table 6 / Figure 7-8
- * experiments, plus the Section 5.2 synthetic workload. Default
- * sizes are scaled down so every bench finishes in seconds; set
+ * experiments, plus the Section 5.2 synthetic workload, the
+ * adversaries and the serving tier ("kv", "rpc"). Default sizes are
+ * scaled down so every bench finishes in seconds; set
  * workloads.paper_scale (or FUGU_PAPER_SCALE=1) for the paper's
  * parameters (Table 6). Every app config is a public member bound on
- * the scenario tree under apps.<name>.*, so workload parameters are
- * set from scenario files and --set like every other knob.
+ * the scenario tree, under apps.<name>.* or, for the serving tier,
+ * serve.* and arrival.*, so workload parameters are set from scenario
+ * files, --set and sweep axes like every other knob.
  */
 struct Workloads
 {
@@ -215,7 +220,14 @@ struct Workloads
     apps::SquatterAppConfig squatter;
     apps::CovertAppConfig covert;
 
-    /** Register workloads.paper_scale and the apps.* sections. */
+    /**
+     * The serving tier and its clients. The workload name (kv, rpc)
+     * sets ServeConfig::app; seeds come from each run's machine seed.
+     */
+    serve::ServeConfig serve;
+    sim::ArrivalConfig arrival;
+
+    /** Register workloads.paper_scale, apps.*, serve.* and arrival.*. */
     void bind(sim::Binder &b);
 
     /**
@@ -234,7 +246,43 @@ struct Workloads
 
     /** find(), but an unknown name is fatal. */
     AppFactory factory(const std::string &name) const;
+
+    /** Whether @p name is a serving workload (kv, rpc). */
+    static bool
+    serves(const std::string &name)
+    {
+        return name == "kv" || name == "rpc";
+    }
+
+    /**
+     * Serving workload @p name, its nodes writing their outcomes into
+     * @p slots (one entry per node), or into a vector of their own
+     * when @p slots is null, as find() builds them.
+     */
+    AppFactory
+    serving(const std::string &name,
+            std::shared_ptr<std::vector<serve::ServeResult>> slots) const;
 };
+
+/** A serving cell's outcome (runServing). */
+struct ServeStats
+{
+    RunStats run;                ///< runTrials' averages
+    serve::ServeResult requests; ///< the averaged trials', merged
+};
+
+/**
+ * runTrials of serving workload @p name of @p wl, plus the per-request
+ * outcome of every trial that runTrials averages, merged in seed
+ * order. Seeds, the first-trial trace and the averages are
+ * runTrials' own.
+ */
+ServeStats runServing(const glaze::MachineConfig &mcfg,
+                      const Workloads &wl, const std::string &name,
+                      bool with_null, bool gang,
+                      const glaze::GangConfig &gcfg, unsigned trials,
+                      Cycle max_cycles = 100000000000ull,
+                      const std::string &trace_path = "");
 
 /** Simple fixed-width table printer for paper-style output. */
 class TablePrinter

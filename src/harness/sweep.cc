@@ -41,6 +41,13 @@ parseAxis(const sim::ConfigAssignment &decl, Axis *axis,
                    decl.value + "'";
             return false;
         }
+        // Every grid point binds the one [sweep] section, so a
+        // sweep.* term would silently take its last value everywhere.
+        if (t.key.rfind("sweep.", 0) == 0) {
+            *err = decl.where() + ": " + decl.key + " cannot step '" +
+                   t.key + "': every grid point shares one [sweep]";
+            return false;
+        }
         axis->terms.push_back(std::move(t));
     }
     return true;

@@ -11,7 +11,7 @@
  *   axis2 = apps.synth.t_between: 250, 500, 1000
  *
  * An axis is `key: values` terms joined by '/' that step together,
- * over any registered keys; axis1 is the outer loop.
+ * over any registered keys but sweep.*; axis1 is the outer loop.
  */
 
 #ifndef FUGU_HARNESS_SWEEP_HH
@@ -54,9 +54,10 @@ struct SweepPoint
 /**
  * Expand sweep.axis1 x sweep.axis2 of ctx.tree into grid points. Each
  * point is ctx.tree plus its axis values, applied by applyTree just as
- * --set values are. A malformed axis, an unknown key or a value of the
- * wrong type fails here, before any run, naming the axis's file:line;
- * so does an empty sweep.workloads or an unknown name in it.
+ * --set values are. A malformed axis, an unknown or sweep.* key or a
+ * value of the wrong type fails here, before any run, naming the
+ * axis's file:line; so does an empty sweep.workloads or an unknown
+ * name in it.
  */
 bool expandSweep(const BenchSpec &spec, const BenchContext &ctx,
                  std::vector<SweepPoint> *out, std::string *err);

@@ -14,7 +14,6 @@ namespace fugu::serve
 void
 bindConfig(sim::Binder &b, ServeConfig &c)
 {
-    b.item("app", c.app, "serving flavour: kv | rpc");
     b.item("requests", c.requests,
            "measured requests per node (after warmup)");
     b.item("warmup", c.warmup, "unmeasured warmup requests per node");
@@ -196,7 +195,7 @@ serveMain(glaze::Process &p, unsigned nnodes, ServeConfig cfg,
 {
     const bool kv = cfg.app == "kv";
     if (!kv && cfg.app != "rpc")
-        fugu_fatal("unknown serve.app '", cfg.app,
+        fugu_fatal("unknown serving app '", cfg.app,
                    "' (expected kv or rpc)");
     fugu_assert(slots && slots->size() == nnodes,
                 "serving slots must have one entry per node");

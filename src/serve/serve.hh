@@ -78,7 +78,7 @@ struct ServeConfig
     std::uint64_t seed = 1;
 };
 
-/** Register the serve.* knobs (seed is set by the harness). */
+/** Register the serve.* knobs (app and seed are set by the harness). */
 void bindConfig(sim::Binder &b, ServeConfig &c);
 
 /**

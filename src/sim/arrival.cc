@@ -11,9 +11,9 @@ namespace fugu::sim
 void
 bindConfig(Binder &b, ArrivalConfig &c)
 {
-    b.item("mix", c.mix,
-           "interarrival mix: poisson, bursty (Markov-modulated "
-           "on/off) or diurnal (sinusoidal ramp)");
+    b.enumItem("mix", c.mix, {"poisson", "bursty", "diurnal"},
+               "interarrival mix; bursty is Markov-modulated on/off, "
+               "diurnal a sinusoidal ramp");
     b.item("rate_per_kcycle", c.ratePerKcycle,
            "mean offered load per generator", "arrivals/kcycle");
     b.item("burst_duty", c.burstDuty,

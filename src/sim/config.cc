@@ -501,6 +501,23 @@ Binder::enumImpl(const std::string &key, int &v,
             &ctx);
 }
 
+void
+Binder::enumItem(const std::string &key, std::string &v,
+                 std::initializer_list<const char *> names,
+                 const std::string &doc)
+{
+    std::vector<std::pair<std::string, int>> opts;
+    int raw = -1;
+    for (const char *n : names) {
+        if (v == n)
+            raw = static_cast<int>(opts.size());
+        opts.emplace_back(n, static_cast<int>(opts.size()));
+    }
+    enumImpl(key, raw, opts, doc);
+    if (raw >= 0)
+        v = opts[static_cast<std::size_t>(raw)].first;
+}
+
 std::string
 Binder::dumpText() const
 {

@@ -221,6 +221,11 @@ class Binder
         enumImpl(key, raw, opts, doc);
         v = static_cast<E>(raw);
     }
+
+    /** A string restricted to @p names. */
+    void enumItem(const std::string &key, std::string &v,
+                  std::initializer_list<const char *> names,
+                  const std::string &doc);
     /// @}
 
     bool ok() const { return err_.empty(); }

@@ -19,9 +19,9 @@ set(quick ${small} --set apps.water.molecules=12 --set apps.lu.n=32
 # first quantum and never buffer; 10k makes the gang schedule bite.
 set(gang_quick --set gang.quantum=10000)
 
-# The paper experiments, the timeout, two-case and backend ablations
-# and the stress sweep all run through bench_sweep; axes are narrowed
-# to a quick grid with --set.
+# The paper experiments, the timeout, two-case and backend ablations,
+# the stress sweep and the serving sweep all run through bench_sweep;
+# axes are narrowed to a quick grid with --set.
 if(NAME STREQUAL "fig10")
     set(bench bench_sweep)
     set(args --scenario=${scenarios}/fig10_buffered_cost.cfg
@@ -61,9 +61,10 @@ elseif(NAME STREQUAL "ablation_vbuf")
     set(args --scenario=${scenarios}/ablation_vbuf.cfg ${quick}
         ${gang_quick})
 elseif(NAME STREQUAL "serving")
-    set(bench bench_serving)
-    set(args --scenario=${scenarios}/serving.cfg --set serving.apps=kv
-        --set serving.mixes=poisson --set serving.offered=1
+    set(bench bench_sweep)
+    set(args --scenario=${scenarios}/serving.cfg --set sweep.workloads=kv
+        --set sweep.axis1=arrival.mix:poisson
+        --set sweep.axis2=arrival.rate_per_kcycle:1
         --set serve.requests=200 --set serve.warmup=20)
 elseif(NAME STREQUAL "table4")
     set(bench bench_table4_fastpath)

@@ -445,6 +445,15 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
          "grid.cfg:2: sweep.axis1 expects"},
         {"[sweep]\naxis1 = fault.class: mixed, nosuch\n",
          "grid.cfg:2: parameter 'fault.class' expects one of none|"},
+        {"[sweep]\naxis1 = sweep.with_null: true, false\n",
+         "grid.cfg:2: sweep.axis1 cannot step 'sweep.with_null'"},
+        {"[sweep]\naxis1 = arrival.mix: poisson, nosuch\n",
+         "grid.cfg:2: parameter 'arrival.mix' expects one of "
+         "poisson|bursty|diurnal, got 'nosuch'"},
+        {"[sweep]\naxis1 = gang.skew: 0\n"
+         "axis2 = arrival.rate_per_kcycle: 0.5, abc\n",
+         "grid.cfg:3: parameter 'arrival.rate_per_kcycle' expects a "
+         "number, got 'abc'"},
         {"[sweep]\nworkloads =\n", "grid.cfg:2: sweep.workloads is empty"},
         {"[sweep]\nworkloads = barnes, nosuch\n",
          "grid.cfg:2: unknown workload 'nosuch' in sweep.workloads"},

@@ -2,8 +2,9 @@
  * @file
  * Serving-tier tests: the sharded KV store and the RPC echo complete
  * every open-loop request with consistent accounting, the run is
- * bit-identical whatever FUGU_THREADS is, and a fault storm against
- * the tier finishes with zero invariant violations.
+ * bit-identical whatever FUGU_THREADS is, a fault storm against the
+ * tier finishes with zero invariant violations, and a multi-trial
+ * cell merges its trials as runTrials averages them.
  */
 
 #include <gtest/gtest.h>
@@ -18,18 +19,13 @@
 #include "serve/serve.hh"
 
 using namespace fugu;
-using harness::RunStats;
+using harness::ServeStats;
 
 namespace
 {
 
-struct ServeRun
-{
-    RunStats rs;
-    serve::ServeResult sr;
-};
-
-ServeRun
+/** One single-trial serving cell, run as bench_sweep runs one. */
+ServeStats
 runServe(const std::string &app, unsigned nodes, unsigned requests,
          bool gang = false, bool faults = false)
 {
@@ -38,29 +34,15 @@ runServe(const std::string &app, unsigned nodes, unsigned requests,
     cfg.seed = 7;
     if (faults)
         cfg.fault.cls = sim::FaultClass::Mixed;
-    serve::ServeConfig sc;
-    sc.app = app;
-    sc.requests = requests;
-    sc.warmup = 20;
-    sim::ArrivalConfig ac;
-    ac.ratePerKcycle = 2.0;
-    auto slots =
-        std::make_shared<std::vector<serve::ServeResult>>(cfg.nodes);
-    harness::AppFactory fac = [sc, ac,
-                               slots](unsigned n, std::uint64_t seed) {
-        serve::ServeConfig s2 = sc;
-        s2.seed = seed;
-        sim::ArrivalConfig a2 = ac;
-        a2.seed = seed;
-        return serve::makeServingApp(n, s2, a2, slots);
-    };
+    harness::Workloads wl;
+    wl.serve.requests = requests;
+    wl.serve.warmup = 20;
+    wl.arrival.ratePerKcycle = 2.0;
     glaze::GangConfig g;
     g.quantum = 20000;
     g.skew = 0.3;
-    ServeRun out;
-    out.rs = harness::runJob(cfg, fac, /*with_null=*/gang, gang, g);
-    out.sr = serve::mergeSlots(*slots);
-    return out;
+    return harness::runServing(cfg, wl, app, /*with_null=*/gang, gang, g,
+                               /*trials=*/1);
 }
 
 /** Scoped FUGU_THREADS override. */
@@ -89,46 +71,46 @@ class ThreadsEnv
 };
 
 void
-expectConsistent(const ServeRun &r, unsigned nodes, unsigned requests)
+expectConsistent(const ServeStats &r, unsigned nodes, unsigned requests)
 {
-    EXPECT_TRUE(r.rs.completed);
-    EXPECT_DOUBLE_EQ(r.rs.violations, 0.0);
+    EXPECT_TRUE(r.run.completed);
+    EXPECT_DOUBLE_EQ(r.run.violations, 0.0);
+    const serve::ServeResult &sr = r.requests;
     const std::uint64_t expect =
         static_cast<std::uint64_t>(nodes) * requests;
-    EXPECT_EQ(r.sr.offeredArrivals, expect);
-    EXPECT_EQ(r.sr.completed, expect);
+    EXPECT_EQ(sr.offeredArrivals, expect);
+    EXPECT_EQ(sr.completed, expect);
     // Every completed request was classified exactly once.
-    EXPECT_EQ(r.sr.latFast.count + r.sr.latBuffered.count, expect);
-    EXPECT_LE(r.sr.sloMet, r.sr.completed);
-    EXPECT_LE(r.sr.servedBuffered, r.sr.completed);
-    EXPECT_GT(r.sr.span(), 0u);
-    EXPECT_GT(r.sr.latFast.maxValue() + r.sr.latBuffered.maxValue(),
-              0.0);
+    EXPECT_EQ(sr.latFast.count + sr.latBuffered.count, expect);
+    EXPECT_LE(sr.sloMet, sr.completed);
+    EXPECT_LE(sr.servedBuffered, sr.completed);
+    EXPECT_GT(sr.span(), 0u);
+    EXPECT_GT(sr.latFast.maxValue() + sr.latBuffered.maxValue(), 0.0);
 }
 
 TEST(ServeTest, KvCompletesWithConsistentAccounting)
 {
-    const ServeRun r = runServe("kv", 4, 100);
+    const ServeStats r = runServe("kv", 4, 100);
     expectConsistent(r, 4, 100);
     // put_frac=0.10 over 400 requests: some puts, mostly gets.
-    EXPECT_GT(r.sr.puts, 0u);
-    EXPECT_LT(r.sr.puts, r.sr.completed / 2);
+    EXPECT_GT(r.requests.puts, 0u);
+    EXPECT_LT(r.requests.puts, r.requests.completed / 2);
     // ~1/4 of a uniform-hashed keyspace is home on the requester.
-    EXPECT_GT(r.sr.localHits, 0u);
+    EXPECT_GT(r.requests.localHits, 0u);
 }
 
 TEST(ServeTest, RpcCompletesWithConsistentAccounting)
 {
-    const ServeRun r = runServe("rpc", 4, 100);
+    const ServeStats r = runServe("rpc", 4, 100);
     expectConsistent(r, 4, 100);
     // The RPC echo never touches the store.
-    EXPECT_EQ(r.sr.puts, 0u);
-    EXPECT_EQ(r.sr.localHits, 0u);
+    EXPECT_EQ(r.requests.puts, 0u);
+    EXPECT_EQ(r.requests.localHits, 0u);
 }
 
 TEST(ServeTest, FixedShardsBitIdenticalAcrossThreads)
 {
-    ServeRun a, b;
+    ServeStats a, b;
     {
         ThreadsEnv env("1");
         a = runServe("kv", 4, 60);
@@ -137,8 +119,8 @@ TEST(ServeTest, FixedShardsBitIdenticalAcrossThreads)
         ThreadsEnv env("4");
         b = runServe("kv", 4, 60);
     }
-    EXPECT_TRUE(a.rs == b.rs);
-    EXPECT_TRUE(a.sr == b.sr);
+    EXPECT_TRUE(a.run == b.run);
+    EXPECT_TRUE(a.requests == b.requests);
 }
 
 TEST(ServeTest, GangSchedulingExercisesTheBufferedCase)
@@ -146,20 +128,55 @@ TEST(ServeTest, GangSchedulingExercisesTheBufferedCase)
     // A short skewed quantum against the null app forces quantum
     // switches mid-stream: some requests must be served off the
     // buffered path, and both delivery cases stay violation-free.
-    const ServeRun r = runServe("kv", 4, 120, /*gang=*/true);
+    const ServeStats r = runServe("kv", 4, 120, /*gang=*/true);
     expectConsistent(r, 4, 120);
-    EXPECT_GT(r.sr.latBuffered.count, 0u);
-    EXPECT_GT(r.sr.latFast.count, 0u);
+    EXPECT_GT(r.requests.latBuffered.count, 0u);
+    EXPECT_GT(r.requests.latFast.count, 0u);
 }
 
 TEST(ServeTest, FaultStormAgainstServingTierIsViolationFree)
 {
     for (const char *app : {"kv", "rpc"}) {
-        const ServeRun r =
+        const ServeStats r =
             runServe(app, 4, 80, /*gang=*/true, /*faults=*/true);
         expectConsistent(r, 4, 80);
-        EXPECT_GT(r.rs.faultEvents, 0.0) << app;
+        EXPECT_GT(r.run.faultEvents, 0.0) << app;
     }
+}
+
+TEST(ServeTest, TwoTrialCellMergesTrialsInSeedOrder)
+{
+    glaze::MachineConfig cfg;
+    cfg.nodes = 4;
+    cfg.seed = 7;
+    harness::Workloads wl;
+    wl.serve.requests = 60;
+    wl.serve.warmup = 20;
+    glaze::GangConfig g;
+    g.quantum = 20000;
+    g.skew = 0.3;
+    const ServeStats cell =
+        harness::runServing(cfg, wl, "kv", true, true, g, /*trials=*/2);
+
+    // The requests are the two single-trial runs' (seeds s and
+    // s + 1000003), merged in that order...
+    serve::ServeResult want;
+    for (unsigned t = 0; t < 2; ++t) {
+        glaze::MachineConfig one = cfg;
+        one.seed = cfg.seed + 1000003ull * t;
+        auto slots =
+            std::make_shared<std::vector<serve::ServeResult>>(cfg.nodes);
+        ASSERT_TRUE(
+            harness::runJob(one, wl.serving("kv", slots), true, true, g)
+                .completed);
+        want.merge(serve::mergeSlots(*slots));
+    }
+    EXPECT_EQ(cell.requests.completed, 2u * 4 * 60);
+    EXPECT_TRUE(cell.requests == want);
+    // ...and the run stats are runTrials' on the same workload.
+    EXPECT_TRUE(cell.run ==
+                harness::runTrials(cfg, wl.factory("kv"), true, true, g,
+                                   /*trials=*/2));
 }
 
 TEST(ServeTest, ResultMergeAccumulates)

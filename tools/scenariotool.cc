@@ -17,11 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "glaze/machine.hh"
-#include "harness/experiment.hh"
-#include "serve/serve.hh"
-#include "sim/arrival.hh"
-#include "sim/config.hh"
+#include "harness/benchmain.hh"
 
 using namespace fugu;
 
@@ -34,51 +30,30 @@ const std::vector<std::string> kSharedSections{
     "machine", "net",  "osnet",     "ni",   "costs",   "trace",
     "gang",    "workloads", "apps", "harness", "serve", "arrival"};
 
-/** One Apply walk over default-constructed shared config structs. */
-void
-bindShared(sim::Binder &b, glaze::MachineConfig &machine,
-           glaze::GangConfig &gang, harness::Workloads &wl,
-           serve::ServeConfig &serve_cfg, sim::ArrivalConfig &arrival,
-           unsigned &trials, Cycle &max_cycles)
+/** One Apply walk of @p tree over benchMain's shared registry. */
+bool
+bindShared(sim::Config &tree, std::string *listing = nullptr)
 {
-    glaze::bindConfig(b, machine);
-    glaze::bindConfig(b, gang);
-    wl.bind(b);
-    {
-        auto s = b.push("serve");
-        serve::bindConfig(b, serve_cfg);
+    sim::Binder b(tree, sim::Binder::Mode::Apply);
+    harness::BenchContext ctx("scenariotool");
+    harness::bindAll(b, ctx, harness::BenchSpec{});
+    if (!b.ok()) {
+        std::fprintf(stderr, "%s\n", b.error().c_str());
+        return false;
     }
-    {
-        auto s = b.push("arrival");
-        sim::bindConfig(b, arrival);
-    }
-    auto s = b.push("harness");
-    b.item("trials", trials,
-           "trials (differing only in seed) averaged per data point");
-    b.item("max_cycles", max_cycles,
-           "per-run cycle budget before a run is declared stuck",
-           "cycles");
+    if (listing)
+        *listing = b.listText();
+    return true;
 }
 
 int
 cmdParams()
 {
     sim::Config tree;
-    sim::Binder b(tree, sim::Binder::Mode::Apply);
-    glaze::MachineConfig machine;
-    glaze::GangConfig gang;
-    harness::Workloads wl;
-    serve::ServeConfig serve_cfg;
-    sim::ArrivalConfig arrival;
-    unsigned trials = 3;
-    Cycle max_cycles = 100000000000ull;
-    bindShared(b, machine, gang, wl, serve_cfg, arrival, trials,
-               max_cycles);
-    if (!b.ok()) {
-        std::fprintf(stderr, "%s\n", b.error().c_str());
+    std::string listing;
+    if (!bindShared(tree, &listing))
         return 1;
-    }
-    std::fputs(b.listText().c_str(), stdout);
+    std::fputs(listing.c_str(), stdout);
     return 0;
 }
 
@@ -94,18 +69,7 @@ cmdCheck(const std::vector<std::string> &files)
             rc = 1;
             continue;
         }
-        sim::Binder b(tree, sim::Binder::Mode::Apply);
-        glaze::MachineConfig machine;
-        glaze::GangConfig gang;
-        harness::Workloads wl;
-        serve::ServeConfig serve_cfg;
-        sim::ArrivalConfig arrival;
-        unsigned trials = 3;
-        Cycle max_cycles = 100000000000ull;
-        bindShared(b, machine, gang, wl, serve_cfg, arrival, trials,
-                   max_cycles);
-        if (!b.ok()) {
-            std::fprintf(stderr, "%s\n", b.error().c_str());
+        if (!bindShared(tree)) {
             rc = 1;
             continue;
         }
