@@ -6,10 +6,9 @@ Usage:
   ci/perf_gate.py PARENT CHANGE
 
 PARENT and CHANGE are source checkouts, each with a Release build in
-its build/ directory (at least bench_engine, bench_machine_scale,
-bench_isolation and bench_sweep). Each side runs its own binaries
-on its own scenario files, at FUGU_THREADS=1, so both do the same
-simulated work on one core.
+its build/ directory (at least bench_engine and bench_sweep). Each
+side runs its own binaries on its own scenario files, at
+FUGU_THREADS=1, so both do the same simulated work on one core.
 
 The gate runs ROUNDS rounds. A round runs every reference three times
 back to back -- parent, change and parent again, starting at a
@@ -45,11 +44,11 @@ LIMIT = 0.10
 REFERENCES = [
     ("engine", "bench_engine"),
     ("scale1k_synth",
-     "bench_machine_scale --scenario scenarios/scale1k.cfg"
-     " --set scale.apps=synth --set scale.reps=1"),
+     "bench_sweep --scenario scenarios/scale1k.cfg"
+     " --set sweep.workloads=synth"),
     ("serving", "bench_sweep --scenario scenarios/serving.cfg"),
     ("isolation",
-     "bench_isolation --scenario scenarios/isolation.cfg"
+     "bench_sweep --scenario scenarios/isolation.cfg"
      " --set apps.barrier.barriers=6400"),
     ("fig7", "bench_sweep --scenario scenarios/fig7_skew.cfg"),
     ("table6", "bench_sweep --scenario scenarios/table6_appchar.cfg"),

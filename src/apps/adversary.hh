@@ -2,7 +2,8 @@
  * @file
  * Adversarial-neighbor tenants: applications written to *attack* the
  * two-case delivery machinery from inside their own protection
- * domain, for isolation benchmarking (bench_isolation) and stress.
+ * domain, for the isolation grid (harness::runAgainst, bench_sweep's
+ * sweep.adversaries) and the stress sweep.
  *
  * Each adversary leans on exactly one shared resource the paper's
  * design multiplexes between tenants:

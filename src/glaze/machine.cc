@@ -157,7 +157,7 @@ namespace
 {
 
 exec::Task
-jobMain(Process *p, Job *job, AppBody body)
+jobMain(const EventQueue &eq, Process *p, Job *job, AppBody body)
 {
     // Handler registrations in the body's synchronous prologue are
     // visible to the drain the moment this slice yields — so a drain
@@ -168,6 +168,8 @@ jobMain(Process *p, Job *job, AppBody body)
     p->kernel()->ensureDrain(p);
     co_await body(*p);
     job->nodeDone(p->node());
+    if (job->done())
+        job->endCycle = eq.now();
 }
 
 } // namespace
@@ -192,7 +194,7 @@ Machine::addJob(std::string name, AppBody body)
         proc->setChecker(checker_.get());
         job->procs.push_back(proc.get());
         proc->threads().spawn(job->name() + "-main", rt::kPrioNormal,
-                              jobMain(proc.get(), job.get(), body));
+                              jobMain(eq, proc.get(), job.get(), body));
         processes.push_back(std::move(proc));
     }
     jobs.push_back(std::move(job));

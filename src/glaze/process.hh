@@ -192,7 +192,7 @@ class Job
     void nodeDone(NodeId node);
 
     Cycle startCycle = 0;
-    Cycle endCycle = 0;
+    Cycle endCycle = 0; ///< when the last node's main returned
 
     std::vector<Process *> procs; ///< indexed by node
 

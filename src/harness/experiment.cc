@@ -52,6 +52,53 @@ seeded(const Cfg &cfg, Make make)
     };
 }
 
+/**
+ * runJob's RunStats for @p job. The verdict fields are always set;
+ * the counters only with @p counters, as runJob skips them for an
+ * incomplete run. The per-process fields are the job's own; the node
+ * counters and latency histograms are machine-wide.
+ */
+RunStats
+collect(const Machine &m, const Job &job, bool counters)
+{
+    RunStats out;
+    out.completed = job.done();
+    out.violations = m.checker()->totalViolations();
+    out.events = m.eventsProcessed();
+    out.faultEvents = faultEvents(m);
+    if (!counters)
+        return out;
+    if (out.completed)
+        out.runtime = job.endCycle - job.startCycle;
+    double hand_sum = 0;
+    std::uint64_t hand_n = 0;
+    for (auto *proc : job.procs) {
+        out.sent += static_cast<std::uint64_t>(proc->stats.sent.value());
+        out.direct += proc->stats.directDelivered.value();
+        out.buffered += proc->stats.bufferedDelivered.value();
+        out.maxVbufPages =
+            std::max(out.maxVbufPages,
+                     static_cast<unsigned>(
+                         proc->vbuf().stats.peakPages.value()));
+        hand_sum += proc->stats.handlerCycles.sum();
+        hand_n += proc->stats.handlerCycles.count();
+    }
+    const double handled = out.direct + out.buffered;
+    out.bufferedPct = handled > 0 ? 100.0 * out.buffered / handled : 0;
+    out.tBetween = out.sent ? static_cast<double>(out.runtime) *
+                                  m.nodeCount() / out.sent
+                            : 0;
+    out.tHand = hand_n ? hand_sum / hand_n : 0;
+    for (const auto &node : m.nodes) {
+        out.overflowEvents += node.kernel.stats.overflowEvents.value();
+        out.atomicityTimeouts += node.ni.stats.atomicityTimeouts.value();
+        out.bufferInserts += node.kernel.stats.bufferInserts.value();
+        out.fastLatency.merge(node.ni.stats.fastLatency.data());
+        out.bufLatency.merge(node.kernel.stats.bufLatency.data());
+    }
+    return out;
+}
+
 } // namespace
 
 RunStats
@@ -73,51 +120,15 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
         m.installJob(job);
     }
 
-    RunStats out;
-    out.completed = m.runUntilDone(job, max_cycles);
+    const bool completed = m.runUntilDone(job, max_cycles);
     if (!trace_path.empty()) {
         std::string err;
         if (!trace::writeTraceFiles(trace_path, m.mergedTrace(), &err))
             warn("trace write failed: ", err);
     }
-    // Collected even for incomplete runs: a hung stress run with
-    // violations should report them, not hide them.
-    out.violations = m.checker()->totalViolations();
-    out.events = m.eventsProcessed();
-    out.faultEvents = faultEvents(m);
-    if (!out.completed)
-        return out;
-    out.runtime = m.now() - job->startCycle;
-    for (auto *proc : job->procs) {
-        out.sent += static_cast<std::uint64_t>(proc->stats.sent.value());
-        out.direct += proc->stats.directDelivered.value();
-        out.buffered += proc->stats.bufferedDelivered.value();
-        out.maxVbufPages =
-            std::max(out.maxVbufPages,
-                     static_cast<unsigned>(
-                         proc->vbuf().stats.peakPages.value()));
-    }
-    const double handled = out.direct + out.buffered;
-    out.bufferedPct = handled > 0 ? 100.0 * out.buffered / handled : 0;
-    out.tBetween =
-        out.sent
-            ? static_cast<double>(out.runtime) * mcfg.nodes / out.sent
-            : 0;
-    double hand_sum = 0;
-    std::uint64_t hand_n = 0;
-    for (auto *proc : job->procs) {
-        hand_sum += proc->stats.handlerCycles.sum();
-        hand_n += proc->stats.handlerCycles.count();
-    }
-    out.tHand = hand_n ? hand_sum / hand_n : 0;
-    for (auto &node : m.nodes) {
-        out.overflowEvents += node.kernel.stats.overflowEvents.value();
-        out.atomicityTimeouts += node.ni.stats.atomicityTimeouts.value();
-        out.bufferInserts += node.kernel.stats.bufferInserts.value();
-        out.fastLatency.merge(node.ni.stats.fastLatency.data());
-        out.bufLatency.merge(node.kernel.stats.bufLatency.data());
-    }
-    return out;
+    // The verdict is collected even for incomplete runs: a hung
+    // stress run with violations should report them, not hide them.
+    return collect(m, *job, completed);
 }
 
 TenantRunStats
@@ -143,8 +154,6 @@ runTenants(MachineConfig mcfg,
     out.completed = m.runUntilDone(handles[0], max_cycles);
     out.violations = m.checker()->totalViolations();
     out.holBypasses = m.net.stats.headOfLineBypasses.value();
-    out.events = m.eventsProcessed();
-    out.faultEvents = faultEvents(m);
 
     const trace::TraceBuffer merged = m.mergedTrace();
     if (!trace_path.empty()) {
@@ -160,25 +169,54 @@ runTenants(MachineConfig mcfg,
 
     for (Job *job : handles) {
         TenantStats t;
-        t.completed = job->done();
-        if (t.completed)
-            t.runtime = job->endCycle - job->startCycle;
-        for (auto *proc : job->procs) {
-            t.sent +=
-                static_cast<std::uint64_t>(proc->stats.sent.value());
-            t.direct += proc->stats.directDelivered.value();
-            t.buffered += proc->stats.bufferedDelivered.value();
-            t.maxVbufPages =
-                std::max(t.maxVbufPages,
-                         static_cast<unsigned>(
-                             proc->vbuf().stats.peakPages.value()));
-        }
+        t.run = collect(m, *job, /*counters=*/true);
         for (const auto &g : sum.byGid)
             if (g.gid == job->gid())
                 t.trace = g;
         t.iso = m.checker()->isolation(job->gid());
         out.tenants.push_back(std::move(t));
     }
+    return out;
+}
+
+bool
+isAdversary(const std::string &name)
+{
+    return name == "null" || name == "hog" || name == "abuser" ||
+           name == "squatter" || name == "covert";
+}
+
+AdversaryStats
+runAgainst(const MachineConfig &mcfg, const Workloads &wl,
+           const std::string &victim, const std::string &adversary,
+           const GangConfig &gcfg, Cycle max_cycles,
+           const std::string &trace_path)
+{
+    fugu_assert(isAdversary(adversary), "unknown adversary '",
+                adversary, "'");
+    const auto app = [&](const std::string &name) {
+        return wl.factory(name)(mcfg.nodes, mcfg.seed);
+    };
+    AdversaryStats out;
+    std::vector<std::pair<std::string, AppBody>> jobs;
+    if (adversary == "covert") {
+        // runTenants stops when jobs[0] finishes, and the prober only
+        // writes its decode when it does, so the prober leads.
+        CovertAppConfig cc = wl.covert;
+        cc.seed = mcfg.seed;
+        jobs = {{"covert_rx", makeCovertRxApp(mcfg.nodes, cc, &out.covert)},
+                {"victim", app(victim)},
+                {"covert_tx", app("covert_tx")}};
+        out.victim = 1;
+    } else {
+        // The null baseline keeps the same two-job gang, so the
+        // victim's machine share is comparable.
+        jobs = {{"victim", app(victim)},
+                {adversary,
+                 adversary == "null" ? makeNullApp() : app(adversary)}};
+    }
+    out.run = runTenants(mcfg, std::move(jobs), gcfg, max_cycles,
+                         trace_path);
     return out;
 }
 

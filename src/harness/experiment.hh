@@ -110,19 +110,20 @@ RunStats runTrials(const glaze::MachineConfig &mcfg,
                    const std::string &trace_path = "");
 
 /**
- * Per-tenant outcome of a multi-job adversarial run (runTenants).
- * Latency percentiles come from the merged trace's per-GID matched
- * inject->extract pairs, so one tenant's numbers are never polluted
- * by its neighbours' traffic the way machine-wide histograms are.
+ * One tenant of a runTenants run. Latency percentiles come from the
+ * merged trace's per-GID matched inject->extract pairs, so one
+ * tenant's numbers are never polluted by its neighbours' traffic the
+ * way machine-wide histograms are.
  */
 struct TenantStats
 {
-    bool completed = false; ///< the tenant's job finished in time
-    Cycle runtime = 0;      ///< job start to completion (0 if not)
-    std::uint64_t sent = 0;
-    double direct = 0;
-    double buffered = 0;
-    unsigned maxVbufPages = 0;
+    /**
+     * The tenant's job collected as runJob collects it, whether or
+     * not the job finished (runtime stays 0 if it did not). Its
+     * violations, fault events, node counters and latency histograms
+     * are machine-wide.
+     */
+    RunStats run;
     trace::Summary::GidStats trace;            ///< per-path latency
     glaze::InvariantChecker::GidIsolation iso; ///< checker watermarks
 };
@@ -130,20 +131,18 @@ struct TenantStats
 /** Outcome of one adversarial pairing (runTenants). */
 struct TenantRunStats
 {
-    bool completed = false; ///< the victim (jobs[0]) finished
+    bool completed = false; ///< jobs[0] finished
     double violations = 0;  ///< invariant-checker total
     double holBypasses = 0; ///< DAMQ head-of-line bypasses taken
-    double faultEvents = 0;
-    std::uint64_t events = 0; ///< simulator events processed
-    std::vector<TenantStats> tenants; ///< in job order, victim first
+    std::vector<TenantStats> tenants; ///< in job order
 };
 
 /**
- * Gang-schedule several tenants (victim first, then adversaries) on
- * one machine and run until the victim's job completes; adversaries
- * may still be mid-flight. Tracing is forced on: per-tenant latency
- * is attributed through the merged trace's per-GID breakdown. A
- * non-empty @p trace_path also writes that trace, as runJob does.
+ * Gang-schedule several tenants on one machine and run until jobs[0]
+ * completes; the others may still be mid-flight. Tracing is forced
+ * on: per-tenant latency is attributed through the merged trace's
+ * per-GID breakdown. A non-empty @p trace_path also writes that
+ * trace, as runJob does.
  */
 TenantRunStats
 runTenants(glaze::MachineConfig mcfg,
@@ -209,7 +208,7 @@ struct Workloads
     apps::SynthAppConfig synth;
 
     /**
-     * Adversarial-neighbor tenants (bench_isolation, stress.cfg).
+     * Adversarial-neighbor tenants (runAgainst, stress.cfg).
      * Nameable through factory() — "hog", "abuser", "squatter",
      * "covert_tx", "covert_rx" — but deliberately absent from
      * names(): the Table 6 sweeps iterate that list and adversaries
@@ -283,6 +282,32 @@ ServeStats runServing(const glaze::MachineConfig &mcfg,
                       const glaze::GangConfig &gcfg, unsigned trials,
                       Cycle max_cycles = 100000000000ull,
                       const std::string &trace_path = "");
+
+/** Whether @p name is an adversary runAgainst pits a victim against. */
+bool isAdversary(const std::string &name);
+
+/** A victim's run against one adversary (runAgainst). */
+struct AdversaryStats
+{
+    TenantRunStats run;        ///< every tenant, in job order
+    std::size_t victim = 0;    ///< the victim's index in run.tenants
+    apps::CovertResult covert; ///< the prober's decode ("covert" only)
+};
+
+/**
+ * runTenants of workload @p victim of @p wl against @p adversary,
+ * both seeded with mcfg.seed. "null" is the adversary-free baseline:
+ * the null app in the adversary's slot. "hog", "abuser" and
+ * "squatter" run second, after the victim. "covert" runs covert_rx,
+ * then the victim, then covert_tx: the run ends when the prober has
+ * decoded every window, and the victim may still be mid-flight.
+ */
+AdversaryStats runAgainst(const glaze::MachineConfig &mcfg,
+                          const Workloads &wl, const std::string &victim,
+                          const std::string &adversary,
+                          const glaze::GangConfig &gcfg,
+                          Cycle max_cycles = 100000000000ull,
+                          const std::string &trace_path = "");
 
 /** Simple fixed-width table printer for paper-style output. */
 class TablePrinter

@@ -23,9 +23,39 @@ struct Axis
     std::size_t size() const { return terms.front().values.size(); }
 };
 
+/**
+ * The list @p key of ctx.tree must be non-empty, and @p known must
+ * accept every element (@p what names one in the message). A key left
+ * at its default passes. @return false with @p err naming the key's
+ * file:line, or its --set.
+ */
 bool
-parseAxis(const sim::ConfigAssignment &decl, Axis *axis,
+checkList(const BenchContext &ctx, const std::string &key,
+          const std::string &what,
+          const std::function<bool(const std::string &)> &known,
           std::string *err)
+{
+    const sim::ConfigAssignment *decl = ctx.tree.find(key);
+    if (!decl)
+        return true;
+    const auto names = splitConfigList(decl->value);
+    if (names.empty()) {
+        *err = decl->where() + ": " + key + " is empty";
+        return false;
+    }
+    for (const std::string &name : names) {
+        if (!known(name)) {
+            *err = decl->where() + ": unknown " + what + " '" + name +
+                   "' in " + key;
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+parseAxis(const sim::Config &tree, const sim::ConfigAssignment &decl,
+          Axis *axis, std::string *err)
 {
     axis->decl = &decl;
     for (const std::string &text : splitConfigList(decl.value, '/')) {
@@ -48,6 +78,14 @@ parseAxis(const sim::ConfigAssignment &decl, Axis *axis,
                    t.key + "': every grid point shares one [sweep]";
             return false;
         }
+        // The axis would silently override the --set at every point.
+        const sim::ConfigAssignment *set = tree.find(t.key);
+        if (set && set->source == sim::ConfigSource::Cli) {
+            *err = set->where() + ": " + t.key + " is stepped by " +
+                   decl.key + " at " + decl.where() +
+                   "; narrow " + decl.key + " instead";
+            return false;
+        }
         axis->terms.push_back(std::move(t));
     }
     return true;
@@ -62,19 +100,50 @@ SweepConfig::bind(sim::Binder &b)
     b.item("name", name, "report name (writes BENCH_<name>.json)");
     b.item("workloads", workloads, "comma-separated workloads to run");
     b.item("with_null", withNull, "gang-schedule each against null");
+    b.item("adversaries", adversaries,
+           "innermost loop: run each cell against these tenants (null, "
+           "hog, abuser, squatter, covert)");
     b.item("axis1", axis1, "outer axis: 'key: v, v' terms joined by /");
     b.item("axis2", axis2, "inner axis; rel_runtime is relative to it");
 }
 
 bool
-expandSweep(const BenchSpec &spec, const BenchContext &ctx,
-            std::vector<SweepPoint> *out, std::string *err)
+expandSweep(const SweepConfig &sweep, const BenchSpec &spec,
+            const BenchContext &ctx, std::vector<SweepPoint> *out,
+            std::string *err)
 {
-    if (!checkList(ctx, "sweep.workloads", err, "workload",
+    if (!checkList(ctx, "sweep.workloads", "workload",
                    [&](const std::string &name) {
                        return bool(ctx.workloads.find(name));
-                   }))
+                   },
+                   err))
         return false;
+    if (!splitConfigList(sweep.adversaries).empty()) {
+        if (!checkList(ctx, "sweep.adversaries", "adversary",
+                       isAdversary, err))
+            return false;
+        // runTenants always gang-schedules and reports one run's
+        // per-GID p99, which trials cannot average.
+        const sim::ConfigAssignment &decl =
+            *ctx.tree.find("sweep.adversaries");
+        auto where = [&](const char *key) {
+            const sim::ConfigAssignment *a = ctx.tree.find(key);
+            return a ? a->where() : std::string("the default");
+        };
+        if (!sweep.withNull) {
+            *err = decl.where() + ": sweep.adversaries needs " +
+                   "sweep.with_null = true, not false (" +
+                   where("sweep.with_null") + ")";
+            return false;
+        }
+        if (ctx.trials != 1) {
+            *err = decl.where() + ": sweep.adversaries needs " +
+                   "harness.trials = 1, not " +
+                   std::to_string(ctx.trials) + " (" +
+                   where("harness.trials") + ")";
+            return false;
+        }
+    }
 
     std::vector<Axis> axes;
     std::size_t npoints = 1;
@@ -83,7 +152,7 @@ expandSweep(const BenchSpec &spec, const BenchContext &ctx,
         if (!decl || splitConfigList(decl->value, '/').empty())
             continue;
         axes.emplace_back();
-        if (!parseAxis(*decl, &axes.back(), err))
+        if (!parseAxis(ctx.tree, *decl, &axes.back(), err))
             return false;
         npoints *= axes.back().size();
     }

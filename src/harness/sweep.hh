@@ -12,6 +12,10 @@
  *
  * An axis is `key: values` terms joined by '/' that step together,
  * over any registered keys but sweep.*; axis1 is the outer loop.
+ *
+ * A non-empty `adversaries` list (null, hog, abuser, squatter, covert)
+ * runs every cell through runAgainst instead, once per adversary as
+ * the innermost loop; it needs with_null = true and one trial.
  */
 
 #ifndef FUGU_HARNESS_SWEEP_HH
@@ -33,6 +37,7 @@ struct SweepConfig
     std::string name = "sweep";
     std::string workloads = "barnes, water, lu, barrier, enum";
     bool withNull = true;
+    std::string adversaries; ///< empty: no tenant run kind
     std::string axis1;
     std::string axis2;
 
@@ -54,13 +59,16 @@ struct SweepPoint
 /**
  * Expand sweep.axis1 x sweep.axis2 of ctx.tree into grid points. Each
  * point is ctx.tree plus its axis values, applied by applyTree just as
- * --set values are. A malformed axis, an unknown or sweep.* key or a
- * value of the wrong type fails here, before any run, naming the
- * axis's file:line; so does an empty sweep.workloads or an unknown
- * name in it.
+ * --set values are. These fail here, before any run, naming the
+ * file:line or --set at fault: a malformed axis, an unknown or
+ * sweep.* key, a value of the wrong type, a --set of a key an axis
+ * steps, an empty sweep.workloads or an unknown name in it or in
+ * sweep.adversaries, and adversaries with with_null = false or
+ * harness.trials other than 1.
  */
-bool expandSweep(const BenchSpec &spec, const BenchContext &ctx,
-                 std::vector<SweepPoint> *out, std::string *err);
+bool expandSweep(const SweepConfig &sweep, const BenchSpec &spec,
+                 const BenchContext &ctx, std::vector<SweepPoint> *out,
+                 std::string *err);
 
 } // namespace fugu::harness
 

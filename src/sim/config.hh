@@ -76,9 +76,10 @@ class Config
     bool setCli(const std::string &keyval, std::string *err);
 
     /**
-     * Record one sweep point's `key=value`. It beats every file and
-     * CLI value, and its diagnostics name @p axis (the assignment
-     * that declared the sweep axis) by file and line.
+     * Record one sweep point's `key=value`. It beats every file value
+     * (harness::expandSweep rejects a --set of a key an axis steps),
+     * and its diagnostics name @p axis (the assignment that declared
+     * the sweep axis) by file and line.
      */
     void setPoint(const ConfigAssignment &axis, const std::string &key,
                   const std::string &value);

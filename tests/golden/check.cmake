@@ -20,8 +20,8 @@ set(quick ${small} --set apps.water.molecules=12 --set apps.lu.n=32
 set(gang_quick --set gang.quantum=10000)
 
 # The paper experiments, the timeout, two-case and backend ablations,
-# the stress sweep and the serving sweep all run through bench_sweep;
-# axes are narrowed to a quick grid with --set.
+# the stress sweep, the serving sweep and the isolation grid all run
+# through bench_sweep; axes are narrowed to a quick grid with --set.
 if(NAME STREQUAL "fig10")
     set(bench bench_sweep)
     set(args --scenario=${scenarios}/fig10_buffered_cost.cfg
@@ -78,7 +78,7 @@ elseif(NAME STREQUAL "ablation_backend")
         --set sweep.axis2=apps.synth.t_between:300,1000
         --set apps.synth.groups=3)
 elseif(NAME STREQUAL "isolation")
-    set(bench bench_isolation)
+    set(bench bench_sweep)
     set(args --scenario=${scenarios}/isolation.cfg)
 elseif(NAME STREQUAL "stress")
     set(bench bench_sweep)

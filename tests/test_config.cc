@@ -423,7 +423,7 @@ struct SweepFixture
     expand(std::vector<harness::SweepPoint> *points, std::string *err)
     {
         return harness::applyTree(spec, ctx, err) &&
-               harness::expandSweep(spec, ctx, points, err);
+               harness::expandSweep(sweep, spec, ctx, points, err);
     }
 };
 
@@ -433,6 +433,7 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
     {
         const char *scenario;
         const char *want;
+        const char *set = nullptr; ///< a --set to apply first
     } cases[] = {
         {"[sweep]\naxis1 = apps.synth.nn: 1, 2\n",
          "grid.cfg:2: unknown parameter 'apps.synth.nn'"},
@@ -443,6 +444,7 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
          "grid.cfg:2: sweep.axis1 expects"},
         {"[sweep]\naxis1 = apps.synth.n 1, 2\n",
          "grid.cfg:2: sweep.axis1 expects"},
+        {"[sweep]\naxis1 = ni.backend:\n", "grid.cfg:2: sweep.axis1 expects"},
         {"[sweep]\naxis1 = fault.class: mixed, nosuch\n",
          "grid.cfg:2: parameter 'fault.class' expects one of none|"},
         {"[sweep]\naxis1 = sweep.with_null: true, false\n",
@@ -457,11 +459,30 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
         {"[sweep]\nworkloads =\n", "grid.cfg:2: sweep.workloads is empty"},
         {"[sweep]\nworkloads = barnes, nosuch\n",
          "grid.cfg:2: unknown workload 'nosuch' in sweep.workloads"},
+        // The axis would silently override the --set at every point.
+        {"[gang]\nskew = 0.1\n[sweep]\naxis1 = apps.synth.n: 10, 100\n"
+         "axis2 = gang.skew: 0, 0.25\n",
+         "--set gang.skew=0.3: gang.skew is stepped by sweep.axis2 at "
+         "grid.cfg:5",
+         "gang.skew=0.3"},
+        {"[harness]\ntrials = 1\n[sweep]\nadversaries = hog, barrier\n",
+         "grid.cfg:4: unknown adversary 'barrier' in sweep.adversaries"},
+        {"[harness]\ntrials = 1\n[sweep]\nwith_null = false\n"
+         "adversaries = null, hog\n",
+         "grid.cfg:5: sweep.adversaries needs sweep.with_null = true, "
+         "not false (grid.cfg:4)"},
+        {"[sweep]\nadversaries = covert\n",
+         "grid.cfg:2: sweep.adversaries needs harness.trials = 1, not 3 "
+         "(--set harness.trials=3)",
+         "harness.trials=3"},
     };
     for (const auto &c : cases) {
         SweepFixture f(c.scenario);
         std::vector<harness::SweepPoint> points;
         std::string err;
+        if (c.set) {
+            ASSERT_TRUE(f.ctx.tree.setCli(c.set, &err)) << err;
+        }
         EXPECT_FALSE(f.expand(&points, &err)) << c.scenario;
         EXPECT_NE(err.find(c.want), std::string::npos) << err;
     }
@@ -469,13 +490,12 @@ TEST(Config, SweepAxisErrorsNameFileAndLine)
 
 TEST(Config, SweepPointsApplyAxesLikeSet)
 {
+    // An axis beats its own file's value of the same key.
     SweepFixture f("[gang]\nskew = 0.1\n[sweep]\n"
                    "axis1 = apps.synth.n: 10, 100 / "
                    "apps.synth.groups: 40, 4\n"
                    "axis2 = gang.skew: 0, 0.25\n");
     std::string err;
-    // An axis beats a --set of the same key.
-    ASSERT_TRUE(f.ctx.tree.setCli("gang.skew=0.3", &err)) << err;
     std::vector<harness::SweepPoint> points;
     ASSERT_TRUE(f.expand(&points, &err)) << err;
     ASSERT_EQ(points.size(), 4u);

@@ -89,13 +89,13 @@ TEST_P(IsolationBackendTest, AbuserPinsVbufWithoutBreakingInvariants)
     const TenantStats &vic = r.tenants[0];
     const TenantStats &abu = r.tenants[1];
     // The victim's traffic really flowed and was trace-attributed.
-    EXPECT_GT(vic.sent, 0u);
+    EXPECT_GT(vic.run.sent, 0u);
     EXPECT_GT(vic.trace.latency.count, 0u);
     EXPECT_GT(vic.iso.direct + vic.iso.buffered, 0u);
     // The abuser really refused to drain: its squat diverted arrivals
     // into its vbuf and the checker saw the page occupancy.
-    EXPECT_GT(abu.buffered, 0.0) << core::toString(backend);
-    EXPECT_GE(abu.maxVbufPages, 1u);
+    EXPECT_GT(abu.run.buffered, 0.0) << core::toString(backend);
+    EXPECT_GE(abu.run.maxVbufPages, 1u);
     EXPECT_GT(abu.iso.framePeak, 0u);
     EXPECT_GT(abu.iso.frameShareMax, 0.0);
 }
@@ -170,6 +170,50 @@ TEST(IsolationMetricsTest, WatermarksStayZeroCostWhenUnarmed)
     EXPECT_GT(r.tenants[0].iso.serviceGapMax, 0u);
 }
 
+/** isolation.cfg's machine: atomicity revocation and a mixed storm. */
+MachineConfig
+stormConfig()
+{
+    MachineConfig cfg = baseConfig();
+    cfg.ni.atomicityTimeout = 1000;
+    cfg.fault.cls = sim::FaultClass::Mixed;
+    cfg.fault.intensity = 0.5;
+    return cfg;
+}
+
+GangConfig
+stormGang()
+{
+    GangConfig g;
+    g.quantum = 20000;
+    g.skew = 0.3;
+    return g;
+}
+
+apps::CovertAppConfig
+covertConfig(std::uint64_t seed)
+{
+    apps::CovertAppConfig ccfg;
+    ccfg.windows = 8;
+    ccfg.windowCycles = 40000;
+    ccfg.warmup = 30000;
+    ccfg.seed = seed;
+    return ccfg;
+}
+
+/** The prober first, so the run lasts until it has decoded. */
+TenantRunStats
+runCovertAroundVictim(const MachineConfig &cfg, apps::CovertResult *res)
+{
+    const apps::CovertAppConfig ccfg = covertConfig(cfg.seed);
+    return harness::runTenants(
+        cfg,
+        {{"covert_rx", apps::makeCovertRxApp(cfg.nodes, ccfg, res)},
+         {"victim", victimBody(cfg.nodes, cfg.seed)},
+         {"covert_tx", apps::makeCovertTxApp(cfg.nodes, ccfg)}},
+        stormGang(), 400000000ull);
+}
+
 TEST(StartupRaceTest, MessageBeforeFirstScheduleBuffersCleanly)
 {
     // Regression: in a 3-tenant gang under a divert storm, a tenant's
@@ -178,25 +222,8 @@ TEST(StartupRaceTest, MessageBeforeFirstScheduleBuffersCleanly)
     // the software buffer and wait for the main's startup prologue,
     // not upcall into a handler table the application never filled.
     // This exact pairing panicked with "no handler registered".
-    MachineConfig cfg = baseConfig();
-    cfg.ni.atomicityTimeout = 1000;
-    cfg.fault.cls = sim::FaultClass::Mixed;
-    cfg.fault.intensity = 0.5;
-    GangConfig g;
-    g.quantum = 20000;
-    g.skew = 0.3;
-    apps::CovertAppConfig ccfg;
-    ccfg.windows = 8;
-    ccfg.windowCycles = 40000;
-    ccfg.warmup = 30000;
-    ccfg.seed = cfg.seed;
     apps::CovertResult res;
-    const TenantRunStats r = harness::runTenants(
-        cfg,
-        {{"covert_rx", apps::makeCovertRxApp(cfg.nodes, ccfg, &res)},
-         {"victim", victimBody(cfg.nodes, cfg.seed)},
-         {"covert_tx", apps::makeCovertTxApp(cfg.nodes, ccfg)}},
-        g, 400000000ull);
+    const TenantRunStats r = runCovertAroundVictim(stormConfig(), &res);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.violations, 0.0);
     // The mid-gang victim really ran and its traffic was delivered —
@@ -207,11 +234,7 @@ TEST(StartupRaceTest, MessageBeforeFirstScheduleBuffersCleanly)
 TEST(CovertChannelTest, ProberDecodesWindowsWithZeroViolations)
 {
     MachineConfig cfg = baseConfig();
-    apps::CovertAppConfig ccfg;
-    ccfg.windows = 8;
-    ccfg.windowCycles = 40000;
-    ccfg.warmup = 30000;
-    ccfg.seed = cfg.seed;
+    const apps::CovertAppConfig ccfg = covertConfig(cfg.seed);
     apps::CovertResult res;
     const TenantRunStats r = harness::runTenants(
         cfg,
@@ -221,8 +244,8 @@ TEST(CovertChannelTest, ProberDecodesWindowsWithZeroViolations)
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.violations, 0.0);
     // The prober sampled real windows and produced a decode; whether
-    // the channel is *good* is bench_isolation's question, not a
-    // correctness invariant.
+    // the channel is *good* is the isolation grid's question
+    // (covert_bits_per_mcycle), not a correctness invariant.
     EXPECT_GT(res.windows, 0u);
     EXPECT_LE(res.correct, res.windows);
 }
@@ -237,12 +260,8 @@ expectSameRun(const TenantRunStats &a, const TenantRunStats &b)
     for (std::size_t i = 0; i < a.tenants.size(); ++i) {
         const TenantStats &x = a.tenants[i];
         const TenantStats &y = b.tenants[i];
-        EXPECT_EQ(x.completed, y.completed) << i;
-        EXPECT_EQ(x.runtime, y.runtime) << i;
-        EXPECT_EQ(x.sent, y.sent) << i;
-        EXPECT_EQ(x.direct, y.direct) << i;
-        EXPECT_EQ(x.buffered, y.buffered) << i;
-        EXPECT_EQ(x.maxVbufPages, y.maxVbufPages) << i;
+        EXPECT_TRUE(x.run == y.run) << i;
+        EXPECT_EQ(x.run.events, y.run.events) << i;
         EXPECT_EQ(x.trace.fast, y.trace.fast) << i;
         EXPECT_EQ(x.trace.buffered, y.trace.buffered) << i;
         EXPECT_EQ(x.trace.latency.count, y.trace.latency.count) << i;
@@ -254,6 +273,35 @@ expectSameRun(const TenantRunStats &a, const TenantRunStats &b)
         EXPECT_EQ(x.iso.framePeak, y.iso.framePeak) << i;
         EXPECT_EQ(x.iso.frameShareMax, y.iso.frameShareMax) << i;
     }
+}
+
+TEST(AdversaryPairingTest, RunAgainstMatchesHandBuiltTenantLists)
+{
+    // The isolation grid's pairings are runTenants job lists; the
+    // harness builds the same ones the tests build by hand.
+    const MachineConfig cfg = stormConfig();
+    harness::Workloads wl;
+    wl.barrier.barriers = 400;
+    wl.covert = covertConfig(cfg.seed);
+
+    const harness::AdversaryStats covert = harness::runAgainst(
+        cfg, wl, "barrier", "covert", stormGang(), 400000000ull);
+    apps::CovertResult res;
+    const TenantRunStats trio = runCovertAroundVictim(cfg, &res);
+    EXPECT_EQ(covert.victim, 1u);
+    expectSameRun(covert.run, trio);
+    EXPECT_EQ(covert.covert.windows, res.windows);
+    EXPECT_EQ(covert.covert.correct, res.correct);
+
+    const harness::AdversaryStats null = harness::runAgainst(
+        cfg, wl, "barrier", "null", stormGang(), 400000000ull);
+    EXPECT_EQ(null.victim, 0u);
+    expectSameRun(null.run,
+                  harness::runTenants(
+                      cfg,
+                      {{"victim", victimBody(cfg.nodes, cfg.seed)},
+                       {"null", apps::makeNullApp()}},
+                      stormGang(), 400000000ull));
 }
 
 TEST(IsolationMetricsTest, RunIndependentOfWorkerThreads)

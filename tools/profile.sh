@@ -6,7 +6,7 @@
 #
 # Example:
 #   tools/profile.sh build-profile/bench/bench_engine
-#   tools/profile.sh build-profile/bench/bench_machine_scale \
+#   tools/profile.sh build-profile/bench/bench_sweep \
 #       --scenario scenarios/scale1k.cfg
 #
 # Build the tree with frame pointers first, or the report collapses
