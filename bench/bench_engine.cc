@@ -13,16 +13,15 @@
  *    exercises stale-entry compaction (the seed kernel's heap grew by
  *    one dead entry per reschedule, forever).
  *
- * Scale with engine.events / FUGU_BENCH_N (default 2,000,000 events
- * per section, 200,000 under FUGU_QUICK). Writes BENCH_engine.json
- * with --json.
+ * Scale with engine.events (default 2,000,000 events per section;
+ * `--set engine.events=200000` for a quick run). Writes
+ * BENCH_engine.json with --json.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -334,14 +333,7 @@ benchReschedule(std::uint64_t n)
 int
 main(int argc, char **argv)
 {
-    // Env shorthands resolve into the registered default, so
-    // engine.events set from a scenario or --set still wins.
-    std::uint64_t n = std::getenv("FUGU_QUICK") ? 200000 : 2000000;
-    if (const char *env = std::getenv("FUGU_BENCH_N")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            n = static_cast<std::uint64_t>(v);
-    }
+    std::uint64_t n = 2000000;
     unsigned reps = 8;
 
     BenchSpec spec;

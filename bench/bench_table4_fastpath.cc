@@ -142,8 +142,6 @@ measurePolling(const MachineConfig &base, std::uint64_t polling_timeout)
     m.installJob(job);
     m.run();
     fugu_assert(got, "polling bench never received");
-    // Subtract the final spin check that found the message pending
-    // (the 100-cycle pacing quantum runs before the measured poll).
     return poll_cost;
 }
 

@@ -102,6 +102,8 @@ def main():
         die("usage: ci/perf_gate.py PARENT CHANGE")
     parent, change = (os.path.abspath(t) for t in sys.argv[1:])
     env = dict(os.environ, FUGU_THREADS="1")
+    # The benches no longer read these, but a parent checkout may
+    # predate their removal, and a stray one would shrink only its side.
     for knob in ("FUGU_QUICK", "FUGU_PAPER_SCALE", "FUGU_BENCH_N"):
         env.pop(knob, None)
 

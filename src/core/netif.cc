@@ -1,8 +1,5 @@
 #include "core/netif.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "sim/config.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
@@ -29,16 +26,6 @@ bindConfig(sim::Binder &b, NetIfConfig &c)
     b.item("damq_flow_msgs", c.damqFlowMsgs,
            "DAMQ per-(source,GID) flow occupancy cap", "messages");
 }
-
-namespace
-{
-bool
-niTraceOn()
-{
-    static const bool on = std::getenv("FUGU_NI_TRACE") != nullptr;
-    return on;
-}
-} // namespace
 
 unsigned
 trapVector(NiTrap t)
@@ -100,9 +87,6 @@ NetIf::tryDeliver(net::Packet &&pkt)
                trace::DivertReason::None,
                (static_cast<std::uint32_t>(stored.src) << 16) |
                    stored.size());
-    if (niTraceOn())
-        std::printf("[ni] n%u deliver h=%u src=%u q=%zu\n", id_,
-                    stored.handler, stored.src, inb_->size());
     updateLines();
     return true;
 }
@@ -232,9 +216,6 @@ NetIf::dispose(bool user_mode)
     fugu_assert(!inb_->empty(), "dispose with empty input queue");
     const net::Packet *u = inb_->userHead(gid_, divert_);
     const net::Packet *h = u ? u : inb_->oldest();
-    if (niTraceOn())
-        std::printf("[ni] n%u dispose h=%u src=%u\n", id_, h->handler,
-                    h->src);
     if (u) {
         // The fast (direct) path completes here: the message went
         // from the wire straight into the handler's dispose.

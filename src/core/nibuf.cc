@@ -18,17 +18,6 @@ toString(NiBackendKind k)
     return "?";
 }
 
-NiBackendKind
-backendFromName(const std::string &name)
-{
-    for (NiBackendKind k : {NiBackendKind::StaticFifo, NiBackendKind::Damq,
-                            NiBackendKind::ZerocopyRemap})
-        if (name == toString(k))
-            return k;
-    fugu_fatal("unknown backend '", name,
-               "' (expected static_fifo, damq or zerocopy_remap)");
-}
-
 Cycle
 NiBufferBackend::fastExtra(const CostModel &c) const
 {

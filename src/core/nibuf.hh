@@ -39,7 +39,6 @@
 #define FUGU_CORE_NIBUF_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/packet.hh"
@@ -59,9 +58,6 @@ enum class NiBackendKind
 };
 
 const char *toString(NiBackendKind k);
-
-/** The kind toString names @p name; fugu_fatal when there is none. */
-NiBackendKind backendFromName(const std::string &name);
 
 /**
  * The buffered-path cost vector a backend charges: how a diverted

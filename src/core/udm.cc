@@ -2,21 +2,8 @@
 
 #include "sim/log.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace fugu::core
 {
-
-namespace
-{
-bool
-traceOn()
-{
-    static const bool on = std::getenv("FUGU_UDM_TRACE") != nullptr;
-    return on;
-}
-} // namespace
 
 UdmPort::UdmPort(exec::Cpu &cpu, NetIf &ni, const CostModel &costs)
     : cpu_(cpu), ni_(ni), costs_(costs),
@@ -48,9 +35,6 @@ UdmPort::send(NodeId dst, Word handler, net::PayloadVec args)
     co_await cpu_.spend(costs_.launch);
     NiTrap t = ni_.launch(words, /*user_mode=*/true);
     fugu_assert(t == NiTrap::None, "user launch trapped unexpectedly");
-    if (traceOn())
-        std::printf("[udm] n%u launched h=%u dst=%u\n", ni_.id(),
-                    handler, dst);
     if (observer_)
         observer_->onSend();
 }
@@ -196,10 +180,6 @@ UdmPort::dispatch(Cycle dispose_base)
     fugu_assert(id < handlers_.size() && handlers_[id],
                 "no handler registered for id ", id);
     disposeBase_ = dispose_base;
-    if (traceOn()) {
-        std::printf("[udm] n%u dispatch h=%u src=%u buffered=%d\n",
-                    ni_.id(), id, src, buffered());
-    }
     const bool was_buffered = buffered();
     const Cycle t0 = cpu_.now();
     if (observer_)

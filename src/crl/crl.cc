@@ -4,21 +4,8 @@
 
 #include "sim/log.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace fugu::crl
 {
-
-namespace
-{
-bool
-traceOn()
-{
-    static const bool on = std::getenv("FUGU_CRL_TRACE") != nullptr;
-    return on;
-}
-} // namespace
 
 using exec::CoTask;
 
@@ -245,9 +232,6 @@ Crl::homeAdvance(Rid rid)
             h.cur = h.queue.front();
             h.queue.pop_front();
             h.curActive = true;
-            if (traceOn())
-                std::printf("[crl] n%u home rid=%u txn node=%u w=%d\n",
-                            me, rid, h.cur.node, h.cur.isWrite);
         }
 
         // Step 1: an exclusive copy elsewhere must be written back.
@@ -480,10 +464,6 @@ Crl::debugDump(std::ostream &os) const
 exec::CoTask<void>
 Crl::sendMsg(NodeId dst, MsgId id, net::PayloadVec payload)
 {
-    if (traceOn() && !payload.empty()) {
-        std::printf("[crl] n%u -> n%u msg=%u rid=%u\n", proc_.node(),
-                    dst, (unsigned)id, (unsigned)payload[0]);
-    }
     co_await proc_.port().send(dst, base_ + id, std::move(payload));
 }
 
@@ -502,10 +482,6 @@ Crl::registerHandlers()
             const Rid rid = co_await p.read(0);
             co_await proc_.compute(handlerCost);
             co_await p.dispose();
-            if (traceOn())
-                std::printf("[crl] n%u REQ%c from n%u rid=%u\n",
-                            proc_.node(), is_write ? 'W' : 'R', src,
-                            rid);
             home(rid).queue.push_back(Req{src, is_write});
             co_await homeAdvance(rid);
         };

@@ -53,7 +53,6 @@ class Context : public std::enable_shared_from_this<Context>
     Cpu *cpu() const { return cpu_; }
 
     /** Kernel contexts are never preempted by interrupts. */
-    bool isKernel() const { return kernel_; }
     bool preemptible() const { return !kernel_; }
 
     CtxState state() const { return state_; }

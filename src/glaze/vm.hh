@@ -49,7 +49,6 @@ class FramePool
     void release();
 
     /** Free-frame count below which overflow control engages. */
-    unsigned lowWatermark() const { return watermark_; }
     void setLowWatermark(unsigned w) { watermark_ = w; }
     bool belowWatermark() const { return free() <= watermark_; }
 

@@ -2,43 +2,18 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
+#include "sim/config.hh"
 #include "sim/log.hh"
 
 namespace fugu::harness
 {
 
-namespace
-{
-
-std::string
-formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan
-    // Round-trippable and exact for integers up to 2^53.
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    double back = 0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) {
-        // Prefer the shortest representation that still round-trips.
-        for (int prec = 1; prec < 17; ++prec) {
-            char s[40];
-            std::snprintf(s, sizeof(s), "%.*g", prec, v);
-            std::sscanf(s, "%lf", &back);
-            if (back == v)
-                return s;
-        }
-    }
-    return buf;
-}
-
-} // namespace
-
-JsonValue::JsonValue(double v) : kind_(Kind::Num), repr_(formatDouble(v))
+JsonValue::JsonValue(double v)
+    : kind_(Kind::Num),
+      // JSON has no inf/nan.
+      repr_(std::isfinite(v) ? sim::formatConfigDouble(v) : "null")
 {
 }
 

@@ -3,8 +3,7 @@
  * Machine-readable bench output: every bench binary accepts --json
  * (or --json=PATH) and, in addition to its human-readable table,
  * writes a BENCH_<name>.json file recording the same rows plus
- * metadata. The files accumulate the repo's performance trajectory —
- * commit them alongside changes that move the numbers.
+ * metadata.
  */
 
 #ifndef FUGU_HARNESS_BENCHJSON_HH

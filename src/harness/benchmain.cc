@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 namespace fugu::harness
@@ -69,14 +68,6 @@ applyTree(const BenchSpec &spec, BenchContext &ctx, std::string *err,
     if (listing)
         *listing = apply.listText();
 
-    // Env fallbacks keep the historical workflow working; an explicit
-    // tree setting always wins so dumps replay exactly.
-    if (std::getenv("FUGU_QUICK") &&
-        !ctx.tree.explicitlySet("harness.trials"))
-        ctx.trials = 1;
-    if (std::getenv("FUGU_PAPER_SCALE") &&
-        !ctx.tree.explicitlySet("workloads.paper_scale"))
-        ctx.workloads.paperScale = true;
     ctx.workloads.resolvePaperScale(ctx.tree);
 
     ctx.machine = glaze::Machine::fix(ctx.machine);

@@ -93,7 +93,7 @@ void bindAll(sim::Binder &b, BenchContext &ctx, const BenchSpec &spec);
 
 /**
  * Resolve ctx.tree into @p ctx as benchMain does before the body:
- * bindAll, reject unknown keys, env fallbacks, Machine::fix. A
+ * bindAll, reject unknown keys, paper scale, Machine::fix. A
  * non-null @p listing gets the --list-params table. @return false
  * with @p err naming the offending file:line.
  */

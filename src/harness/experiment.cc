@@ -261,15 +261,6 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
     work();
 }
 
-std::vector<RunStats>
-runMany(std::vector<JobFn> jobs)
-{
-    std::vector<RunStats> out(jobs.size());
-    parallelFor(jobs.size(),
-                [&](std::size_t i) { out[i] = jobs[i](); });
-    return out;
-}
-
 namespace
 {
 
@@ -286,15 +277,14 @@ runSeeded(const MachineConfig &mcfg, unsigned trials,
                                        const std::string &tp)> &run)
 {
     fugu_assert(trials >= 1);
-    std::vector<JobFn> jobs;
-    jobs.reserve(trials);
-    for (unsigned t = 0; t < trials; ++t) {
+    std::vector<RunStats> out(trials);
+    parallelFor(trials, [&](std::size_t i) {
+        const auto t = static_cast<unsigned>(i);
         MachineConfig cfg = mcfg;
         cfg.seed = mcfg.seed + 1000003ull * t;
-        const std::string tp = t == 0 ? trace_path : std::string();
-        jobs.push_back([t, cfg, tp, &run] { return run(t, cfg, tp); });
-    }
-    return runMany(std::move(jobs));
+        out[i] = run(t, cfg, t == 0 ? trace_path : std::string());
+    });
+    return out;
 }
 
 /**

@@ -152,9 +152,9 @@ runTenants(glaze::MachineConfig mcfg,
            const std::string &trace_path = "");
 
 /**
- * Worker threads used by runMany/runTrials: the FUGU_THREADS
- * environment variable if set, else the hardware concurrency.
- * FUGU_THREADS=1 forces fully serial execution.
+ * Worker threads used by parallelFor: the FUGU_THREADS environment
+ * variable if set, else the hardware concurrency. FUGU_THREADS=1
+ * forces fully serial execution.
  */
 unsigned workerCount();
 
@@ -170,29 +170,16 @@ unsigned workerCount();
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
 
-/** An independent experiment: builds its own machine when invoked. */
-using JobFn = std::function<RunStats()>;
-
-/**
- * Run independent jobs via parallelFor and return their results in
- * input order. Jobs share no mutable state (each builds a private
- * Machine/EventQueue), so the result vector is bit-identical to
- * running the jobs serially. Nested calls — a job that itself calls
- * runMany or runTrials — run their sub-jobs serially on the calling
- * worker, keeping the total thread count bounded.
- */
-std::vector<RunStats> runMany(std::vector<JobFn> jobs);
-
 /**
  * The named workload set used by the Table 6 / Figure 7-8
  * experiments, plus the Section 5.2 synthetic workload, the
  * adversaries and the serving tier ("kv", "rpc"). Default sizes are
  * scaled down so every bench finishes in seconds; set
- * workloads.paper_scale (or FUGU_PAPER_SCALE=1) for the paper's
- * parameters (Table 6). Every app config is a public member bound on
- * the scenario tree, under apps.<name>.* or, for the serving tier,
- * serve.* and arrival.*, so workload parameters are set from scenario
- * files, --set and sweep axes like every other knob.
+ * workloads.paper_scale for the paper's parameters (Table 6). Every
+ * app config is a public member bound on the scenario tree, under
+ * apps.<name>.* or, for the serving tier, serve.* and arrival.*, so
+ * workload parameters are set from scenario files, --set and sweep
+ * axes like every other knob.
  */
 struct Workloads
 {

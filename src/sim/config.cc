@@ -97,22 +97,6 @@ parseString(const std::string &s, void *out)
     return true;
 }
 
-template <typename T>
-bool
-parseListOf(const std::string &s, void *out,
-            bool (*elem)(const std::string &, void *))
-{
-    std::vector<T> v;
-    for (const std::string &e : splitConfigList(s)) {
-        T x;
-        if (!elem(e, &x))
-            return false;
-        v.push_back(x);
-    }
-    *static_cast<std::vector<T> *>(out) = std::move(v);
-    return true;
-}
-
 } // namespace
 
 std::vector<std::string>
@@ -276,27 +260,6 @@ Config::checkUnknown(std::string *err) const
     return true;
 }
 
-bool
-Config::checkUnknownIn(const std::vector<std::string> &sections,
-                       std::string *err,
-                       std::vector<std::string> *skipped) const
-{
-    for (const auto &a : asgs_) {
-        if (a.consumed)
-            continue;
-        const std::string head = a.key.substr(0, a.key.find('.'));
-        if (std::find(sections.begin(), sections.end(), head) ==
-            sections.end()) {
-            if (skipped)
-                skipped->push_back(a.key);
-            continue;
-        }
-        *err = a.where() + ": unknown parameter '" + a.key + "'";
-        return false;
-    }
-    return true;
-}
-
 std::string
 formatConfigDouble(double v)
 {
@@ -311,38 +274,6 @@ formatConfigDouble(double v)
             break;
     }
     return buf;
-}
-
-template <typename T, typename Fmt>
-static std::string
-joinList(const std::vector<T> &v, Fmt fmt)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ",";
-        out += fmt(v[i]);
-    }
-    return out;
-}
-
-std::string
-formatConfigList(const std::vector<double> &v)
-{
-    return joinList(v, formatConfigDouble);
-}
-
-std::string
-formatConfigList(const std::vector<std::uint64_t> &v)
-{
-    return joinList(v,
-                    [](std::uint64_t x) { return std::to_string(x); });
-}
-
-std::string
-formatConfigList(const std::vector<unsigned> &v)
-{
-    return joinList(v, [](unsigned x) { return std::to_string(x); });
 }
 
 void
@@ -427,42 +358,6 @@ Binder::item(const std::string &key, std::string &v,
              const std::string &doc, const std::string &units)
 {
     bindRaw(key, v, doc, units, "a string", parseString, &v);
-}
-
-void
-Binder::list(const std::string &key, std::vector<double> &v,
-             const std::string &doc, const std::string &units)
-{
-    bindRaw(key, formatConfigList(v), doc, units,
-            "a comma-separated list of numbers",
-            [](const std::string &s, void *out) {
-                return parseListOf<double>(s, out, parseDouble);
-            },
-            &v);
-}
-
-void
-Binder::list(const std::string &key, std::vector<std::uint64_t> &v,
-             const std::string &doc, const std::string &units)
-{
-    bindRaw(key, formatConfigList(v), doc, units,
-            "a comma-separated list of unsigned integers",
-            [](const std::string &s, void *out) {
-                return parseListOf<std::uint64_t>(s, out, parseU64);
-            },
-            &v);
-}
-
-void
-Binder::list(const std::string &key, std::vector<unsigned> &v,
-             const std::string &doc, const std::string &units)
-{
-    bindRaw(key, formatConfigList(v), doc, units,
-            "a comma-separated list of unsigned integers",
-            [](const std::string &s, void *out) {
-                return parseListOf<unsigned>(s, out, parseUnsigned);
-            },
-            &v);
 }
 
 void

@@ -105,15 +105,6 @@ class Config
      */
     bool checkUnknown(std::string *err) const;
 
-    /**
-     * checkUnknown restricted to keys whose first dotted segment is
-     * in @p sections; others are skipped (tooling that does not know
-     * a bench's local section uses this).
-     */
-    bool checkUnknownIn(const std::vector<std::string> &sections,
-                        std::string *err,
-                        std::vector<std::string> *skipped = nullptr) const;
-
     const std::vector<ConfigAssignment> &assignments() const
     {
         return asgs_;
@@ -200,14 +191,6 @@ class Binder
     void item(const std::string &key, std::string &v,
               const std::string &doc, const std::string &units = "");
 
-    /** Comma-separated lists (sweep axes). */
-    void list(const std::string &key, std::vector<double> &v,
-              const std::string &doc, const std::string &units = "");
-    void list(const std::string &key, std::vector<std::uint64_t> &v,
-              const std::string &doc, const std::string &units = "");
-    void list(const std::string &key, std::vector<unsigned> &v,
-              const std::string &doc, const std::string &units = "");
-
     /** Enumeration stored by symbolic name. */
     template <typename E>
     void
@@ -270,13 +253,11 @@ class Binder
 std::vector<std::string> splitConfigList(const std::string &s,
                                          char sep = ',');
 
-/// @name Value formatting (stable: format(parse(format(x))) == format(x))
-/// @{
+/**
+ * The shortest text that parses back to exactly @p v, so dumps
+ * round-trip byte-identically.
+ */
 std::string formatConfigDouble(double v);
-std::string formatConfigList(const std::vector<double> &v);
-std::string formatConfigList(const std::vector<std::uint64_t> &v);
-std::string formatConfigList(const std::vector<unsigned> &v);
-/// @}
 
 } // namespace fugu::sim
 

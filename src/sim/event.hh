@@ -25,9 +25,8 @@
  *
  * The scheduling fast path is allocation-free in steady state:
  * one-shot callables (scheduleFn) are stored inline in pooled
- * LambdaEvents — only a callable larger than SmallFn::kInlineBytes
- * falls back to the heap — and cancellation handles are plain
- * {slot, generation} pairs instead of shared_ptr control blocks.
+ * LambdaEvents, and cancellation handles are plain {slot, generation}
+ * pairs instead of shared_ptr control blocks.
  */
 
 #ifndef FUGU_SIM_EVENT_HH
@@ -96,11 +95,11 @@ struct EventHandle
 };
 
 /**
- * Type-erased move-only callable with inline storage. Callables up to
- * kInlineBytes live in the object itself; larger ones fall back to a
- * single heap allocation. Sized so every scheduleFn lambda in the
- * simulator stays inline — the largest captures a whole net::Packet,
- * which carries its payload inline (~88 bytes) plus this and a node id.
+ * Type-erased move-only callable with inline storage: callables live
+ * in the object itself, and one larger than kInlineBytes does not
+ * compile. Sized so every scheduleFn lambda in the simulator fits —
+ * the largest captures a whole net::Packet, which carries its payload
+ * inline (~88 bytes) plus this and a node id.
  */
 class SmallFn
 {
@@ -118,28 +117,18 @@ class SmallFn
     assign(F &&fn)
     {
         using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= kInlineBytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "callable too large for SmallFn's inline buffer");
         reset();
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-            fire_ = [](void *p) {
-                Fn *f = static_cast<Fn *>(p);
-                (*f)();
-                f->~Fn();
-            };
-        } else {
-            auto *obj = new Fn(std::forward<F>(fn));
-            ::new (static_cast<void *>(buf_)) Fn *(obj);
-            invoke_ = [](void *p) { (**static_cast<Fn **>(p))(); };
-            destroy_ = [](void *p) { delete *static_cast<Fn **>(p); };
-            fire_ = [](void *p) {
-                Fn *f = *static_cast<Fn **>(p);
-                (*f)();
-                delete f;
-            };
-        }
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
+        destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
+        fire_ = [](void *p) {
+            Fn *f = static_cast<Fn *>(p);
+            (*f)();
+            f->~Fn();
+        };
     }
 
     void operator()() { invoke_(buf_); }

@@ -63,15 +63,6 @@ class RingDeque
         --count_;
     }
 
-    /** Move the front element out and pop it. */
-    T
-    take_front()
-    {
-        T v = std::move(buf_[head_]);
-        pop_front();
-        return v;
-    }
-
     void
     clear()
     {

@@ -6,9 +6,8 @@
  * per Machine (one deterministic single-threaded simulation, so
  * recording needs no synchronization and the trace bytes are
  * independent of the harness worker count). Components hold
- * a nullable `trace::Recorder *`: the runtime-disabled path is a
- * single null-check branch, and defining FUGU_TRACE_DISABLED compiles
- * every instrumentation point out entirely.
+ * a nullable `trace::Recorder *`: the disabled path is a single
+ * null-check branch.
  *
  * Event timestamps come from the Machine's EventQueue, event order is
  * recording order, and nothing host-dependent (pointers, wall-clock,
@@ -275,19 +274,12 @@ class Recorder
 
 /**
  * Instrumentation-point gate: `rec` is a nullable trace::Recorder*.
- * Runtime-disabled cost is one predictable branch; compiling with
- * -DFUGU_TRACE_DISABLED removes the points entirely.
+ * Disabled cost is one predictable branch.
  */
-#ifdef FUGU_TRACE_DISABLED
-#define FUGU_TRACE(rec, ...)                                           \
-    do {                                                               \
-    } while (0)
-#else
 #define FUGU_TRACE(rec, ...)                                           \
     do {                                                               \
         if (rec)                                                       \
             (rec)->record(__VA_ARGS__);                                \
     } while (0)
-#endif
 
 #endif // FUGU_TRACE_TRACE_HH

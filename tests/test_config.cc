@@ -202,8 +202,7 @@ TEST(Config, BackendAcceptsKnownNamesRejectsUnknown)
 {
     // The ablation axis: every backend name selects its kind, and a
     // typo'd name fails loudly with the file:line of the offender and
-    // the full menu — scenariotool check inherits this through the
-    // same binder, so a bad scenario never runs as static_fifo.
+    // the full menu, so a bad scenario never runs as static_fifo.
     Config tree;
     std::string err;
     ASSERT_TRUE(tree.loadString("ni.backend = damq\n", "be.cfg", &err))
@@ -328,28 +327,6 @@ TEST(Config, OverriddenDumpReplaysToSameMachineAndStats)
     EXPECT_TRUE(a == b);
 }
 
-TEST(Config, ListsRoundTrip)
-{
-    Config tree;
-    std::string err;
-    ASSERT_TRUE(tree.loadString("sweep.skews = 0, 0.05, 0.125\n"
-                                "sweep.sizes = 1,2,300\n",
-                                "l.cfg", &err))
-        << err;
-    std::vector<double> skews{9.0};
-    std::vector<unsigned> sizes{7};
-    Binder b(tree, Binder::Mode::Apply);
-    {
-        auto s = b.push("sweep");
-        b.list("skews", skews, "d");
-        b.list("sizes", sizes, "d");
-    }
-    ASSERT_TRUE(b.ok()) << b.error();
-    EXPECT_EQ(skews, (std::vector<double>{0, 0.05, 0.125}));
-    EXPECT_EQ(sizes, (std::vector<unsigned>{1, 2, 300}));
-    EXPECT_EQ(formatConfigList(skews), "0,0.05,0.125");
-}
-
 TEST(Config, PaperScaleRespectsExplicitKeys)
 {
     Config tree;
@@ -365,43 +342,6 @@ TEST(Config, PaperScaleRespectsExplicitKeys)
     wl.resolvePaperScale(tree);
     EXPECT_EQ(wl.lu.n, 64u);            // explicit key wins
     EXPECT_EQ(wl.barnes.bodies, 2048u); // paper value applied
-}
-
-TEST(Config, CheckUnknownInSkipsBenchLocalSections)
-{
-    Config tree;
-    std::string err;
-    ASSERT_TRUE(tree.loadString("machine.nodes = 4\n"
-                                "sweep.axis1 = gang.skew: 0, 0.1\n"
-                                "machine.bogus = 1\n",
-                                "m.cfg", &err))
-        << err;
-    glaze::MachineConfig machine;
-    glaze::GangConfig gang;
-    harness::Workloads wl;
-    Binder b(tree, Binder::Mode::Apply);
-    bindAll(b, machine, gang, wl);
-    ASSERT_TRUE(b.ok()) << b.error();
-
-    std::vector<std::string> skipped;
-    EXPECT_FALSE(tree.checkUnknownIn({"machine"}, &err, &skipped));
-    EXPECT_NE(err.find("machine.bogus"), std::string::npos) << err;
-
-    Config tree2;
-    ASSERT_TRUE(tree2.loadString("machine.nodes = 4\n"
-                                 "sweep.axis1 = gang.skew: 0, 0.1\n",
-                                 "m2.cfg", &err))
-        << err;
-    Binder b2(tree2, Binder::Mode::Apply);
-    glaze::MachineConfig machine2;
-    glaze::GangConfig gang2;
-    harness::Workloads wl2;
-    bindAll(b2, machine2, gang2, wl2);
-    ASSERT_TRUE(b2.ok()) << b2.error();
-    skipped.clear();
-    EXPECT_TRUE(tree2.checkUnknownIn({"machine"}, &err, &skipped));
-    ASSERT_EQ(skipped.size(), 1u);
-    EXPECT_EQ(skipped[0], "sweep.axis1");
 }
 
 /** bench_sweep's spec: the shared registry plus the [sweep] section. */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Determinism tests for the parallel experiment harness: runTrials
- * and runMany must return bit-identical results no matter how many
- * worker threads execute the jobs, because each job builds a private
- * machine and results are combined in input (seed) order.
+ * and parallelFor must return bit-identical results no matter how
+ * many worker threads execute the jobs, because each job builds a
+ * private machine and results are combined in input (seed) order.
  */
 
 #include <gtest/gtest.h>
@@ -106,20 +106,13 @@ TEST(HarnessParallelTest, RunTrialsIsBitIdenticalAcrossThreadCounts)
 
 TEST(HarnessParallelTest, RunManyPreservesInputOrder)
 {
+    // parallelFor hands each slot its own index, whatever thread
+    // takes it, so results land in input order.
     ThreadsEnv env("4");
-    std::vector<JobFn> jobs;
-    for (unsigned i = 0; i < 17; ++i) {
-        jobs.push_back([i] {
-            RunStats r;
-            r.runtime = i;
-            r.completed = true;
-            return r;
-        });
-    }
-    const std::vector<RunStats> out = runMany(std::move(jobs));
-    ASSERT_EQ(out.size(), 17u);
-    for (unsigned i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i].runtime, i);
+    std::vector<std::size_t> out(17, ~std::size_t{0});
+    parallelFor(out.size(), [&](std::size_t i) { out[i] = i; });
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], i);
 }
 
 TEST(HarnessParallelTest, NestedParallelismStaysDeterministic)

@@ -129,14 +129,6 @@ struct TraceTest : ::testing::Test
 {
     TraceTest() { detail::setThrowOnError(true); }
     ~TraceTest() override { detail::setThrowOnError(false); }
-
-    void
-    SetUp() override
-    {
-#ifdef FUGU_TRACE_DISABLED
-        GTEST_SKIP() << "instrumentation compiled out";
-#endif
-    }
 };
 
 TEST_F(TraceTest, DisabledByDefaultAndCheapToGate)

@@ -288,8 +288,9 @@ TEST_F(VbufTest, MaxSizeRecordSurvivesSwapRoundTrip)
     }
     ASSERT_EQ(v2.swapOut(1), 1u);
     for (unsigned i = 0; i < per_page + 1; ++i) {
-        if (v2.frontSwapped())
+        if (v2.frontSwapped()) {
             ASSERT_TRUE(v2.pageInFront());
+        }
         ASSERT_TRUE(v2.available());
         std::vector<Word> got;
         for (unsigned w = 0; w < v2.size(); ++w)
