@@ -7,7 +7,9 @@
  * required versus a system that pins its buffer pages in memory".
  *
  * Measures peak physical frame usage per node for each workload under
- * the skewed multiprogrammed schedule of Figure 7.
+ * the skewed multiprogrammed schedule of Figure 7. The pinned arm
+ * reserves machine.pinned_buffer_pages frames per process (16 by
+ * default); the on-demand arm sets it to 0.
  */
 
 #include <algorithm>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "harness/benchmain.hh"
-#include "trace/export.hh"
 
 using namespace fugu;
 using namespace fugu::harness;
@@ -42,13 +43,8 @@ peakFrames(const glaze::MachineConfig &mcfg,
         m.addJob("null", apps::makeNullApp());
         m.startGang(gcfg);
         const bool done = m.runUntilDone(job, max_cycles);
-        if (traced) {
-            std::string err;
-            if (!fugu::trace::writeTraceFiles(
-                    trace_path, m.tracer()->buffer(), &err))
-                std::fprintf(stderr, "trace write failed: %s\n",
-                             err.c_str());
-        }
+        if (traced)
+            writeTrace(m, trace_path);
         if (!done)
             return -1;
         for (auto &n : m.nodes)
@@ -62,25 +58,18 @@ peakFrames(const glaze::MachineConfig &mcfg,
 int
 main(int argc, char **argv)
 {
-    // A pinned system reserves worst-case buffer space per process;
-    // 16 pages/process is a modest static reservation.
-    unsigned pinnedPages = 16;
-
     BenchSpec spec;
     spec.name = "ablation_vbuf";
     spec.defaults = [](BenchContext &ctx) {
         ctx.machine.nodes = 8;
+        // A pinned system reserves worst-case buffer space per
+        // process; 16 pages/process is a modest static reservation.
+        ctx.machine.pinnedBufferPages = 16;
         ctx.gang.quantum = 100000;
         ctx.gang.skew = 0.3;
     };
-    spec.params = [&](sim::Binder &b) {
-        auto s = b.push("abl");
-        b.item("pinned_pages", pinnedPages,
-               "per-process static buffer reservation for the "
-               "pinned-comparison runs",
-               "pages");
-    };
-    spec.body = [&](BenchContext &ctx) {
+    spec.body = [](BenchContext &ctx) {
+        const unsigned pinnedPages = ctx.machine.pinnedBufferPages;
         const auto &names = Workloads::names();
         std::vector<double> virt(names.size());
         std::vector<double> pinned(names.size());
@@ -88,12 +77,12 @@ main(int argc, char **argv)
             const std::size_t app = i / 2;
             glaze::MachineConfig cfg = ctx.machine;
             if (i % 2 == 0) {
+                cfg.pinnedBufferPages = 0;
                 virt[app] = peakFrames(
                     cfg, ctx.gang, ctx.workloads.factory(names[app]),
                     ctx.trials, ctx.maxCycles,
                     i == 0 ? ctx.tracePath : std::string());
             } else {
-                cfg.pinnedBufferPages = pinnedPages;
                 pinned[app] = peakFrames(
                     cfg, ctx.gang, ctx.workloads.factory(names[app]),
                     ctx.trials, ctx.maxCycles);

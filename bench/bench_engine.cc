@@ -18,7 +18,6 @@
  * BENCH_engine.json with --json.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -29,7 +28,6 @@
 #include "net/network.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
-#include "trace/trace.hh"
 
 using namespace fugu;
 using namespace fugu::harness;
@@ -64,33 +62,6 @@ struct Chain
             return;
         --*remaining;
         Chain next = *this;
-        next.pad[0] ^= *remaining; // keep the payload live
-        eq->scheduleFn(next, eq->now() + 1, "chain");
-    }
-};
-
-/**
- * Chain twin with a runtime-gated trace point in the hot loop. The
- * recorder stays null, so this measures the full cost of tracing
- * support when it is disabled at runtime: one pointer test per event.
- * Chain itself is the compiled-out baseline (no trace statement);
- * both captures are 56 bytes so the schedule path is identical.
- */
-struct ChainGated
-{
-    EventQueue *eq;
-    std::uint64_t *remaining;
-    trace::Recorder *tracer;
-    std::uint64_t pad[4];
-
-    void
-    operator()() const
-    {
-        if (*remaining == 0)
-            return;
-        --*remaining;
-        FUGU_TRACE(tracer, 0, trace::Type::Inject, *remaining);
-        ChainGated next = *this;
         next.pad[0] ^= *remaining; // keep the payload live
         eq->scheduleFn(next, eq->now() + 1, "chain");
     }
@@ -134,87 +105,6 @@ benchScheduleFire(std::uint64_t n)
     eq.run();
     const double s = seconds(t0);
     return {"schedule_fire", n, s, n / s};
-}
-
-Section
-benchScheduleFireGated(std::uint64_t n)
-{
-    EventQueue eq;
-    std::uint64_t remaining = n;
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr unsigned kInFlight = 64;
-    for (unsigned i = 0; i < kInFlight; ++i)
-        eq.scheduleFn(ChainGated{&eq, &remaining, nullptr, {i, 0, 0, 0}},
-                      eq.now() + 1, "chain");
-    eq.run();
-    const double s = seconds(t0);
-    return {"schedule_fire_gated", n, s, n / s};
-}
-
-/**
- * Disabled-tracing overhead: @p reps back-to-back pairs of the plain
- * chain (tracing compiled out) and the runtime-gated chain, after one
- * discarded warmup pair. Pair order alternates every rep — on noisy
- * hosts, periodic interference (timer ticks, cgroup throttling) can
- * alias with the run cadence and systematically tax whichever side
- * runs second, so a fixed order reports phantom overheads far above
- * the real cost of one predicted branch. The reported overhead is the
- * *minimum* per-pair slowdown: a real gate regression slows every
- * pair by the same factor and survives the min, while host noise —
- * which hits pairs at random — does not. (Median and best-of
- * reductions both still tripped on double-digit phantom overheads on
- * busy CI hosts.) @return the emitted BENCH row's overhead; fails the
- * process when the gate costs more than 2%.
- */
-int
-benchTraceOverhead(BenchReport &report, std::uint64_t n, unsigned reps)
-{
-    // 10ms runs alias badly with timer-tick-scale interference; keep
-    // each measured run near ~50ms however the section sizes were
-    // scaled down.
-    n = std::max<std::uint64_t>(n, 1000000);
-    benchScheduleFire(n);
-    benchScheduleFireGated(n);
-    double base_eps = 0, gated_eps = 0;
-    std::vector<double> pair_pct(reps);
-    for (unsigned r = 0; r < reps; ++r) {
-        double base, gated;
-        if (r % 2 == 0) {
-            base = benchScheduleFire(n).eps;
-            gated = benchScheduleFireGated(n).eps;
-        } else {
-            gated = benchScheduleFireGated(n).eps;
-            base = benchScheduleFire(n).eps;
-        }
-        base_eps = std::max(base_eps, base);
-        gated_eps = std::max(gated_eps, gated);
-        pair_pct[r] = 100.0 * (base - gated) / base;
-    }
-    // Reported signed: a negative value (gated side faster) is real
-    // information about host noise floor; clamping belongs only to
-    // the pass/fail comparison below.
-    const double overhead_pct =
-        *std::min_element(pair_pct.begin(), pair_pct.end());
-    constexpr double kLimitPct = 2.0;
-
-    std::printf("%-20s  base %14.0f  gated %14.0f  overhead %.2f%% "
-                "(limit %.0f%%)\n",
-                "trace_overhead", base_eps, gated_eps, overhead_pct,
-                kLimitPct);
-    report.row({{"section", "trace_overhead_disabled"},
-                {"events", n},
-                {"baseline_eps", base_eps},
-                {"gated_eps", gated_eps},
-                {"overhead_pct", overhead_pct},
-                {"limit_pct", kLimitPct}});
-    if (std::max(0.0, overhead_pct) >= kLimitPct) {
-        std::fprintf(stderr,
-                     "FAIL: runtime-disabled tracing costs %.2f%% "
-                     "schedule/fire throughput (limit %.0f%%)\n",
-                     overhead_pct, kLimitPct);
-        return 1;
-    }
-    return 0;
 }
 
 /**
@@ -334,7 +224,6 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t n = 2000000;
-    unsigned reps = 8;
 
     BenchSpec spec;
     spec.name = "engine";
@@ -345,8 +234,6 @@ main(int argc, char **argv)
     spec.params = [&](sim::Binder &b) {
         auto s = b.push("engine");
         b.item("events", n, "events per measured section");
-        b.item("reps", reps,
-               "base/gated pairs in the trace-overhead gate");
     };
     spec.body = [&](BenchContext &ctx) {
         ctx.report.meta("events_per_section", n);
@@ -385,8 +272,7 @@ main(int argc, char **argv)
                    /*with_null=*/false, /*gang=*/false, ctx.gang,
                    ctx.maxCycles, ctx.tracePath);
         }
-
-        return benchTraceOverhead(ctx.report, n, reps);
+        return 0;
     };
     return benchMain(spec, argc, argv);
 }

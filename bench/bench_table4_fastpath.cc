@@ -16,7 +16,6 @@
 
 #include "apps/common.hh"
 #include "harness/benchmain.hh"
-#include "trace/export.hh"
 
 using namespace fugu;
 using namespace fugu::glaze;
@@ -94,13 +93,7 @@ measureUser(const MachineConfig &base, core::AtomicityMode mode,
     const double rx_before = busy(m, 1);
     m.run();
     out.recvInterrupt = busy(m, 1) - rx_before;
-    if (!trace_path.empty()) {
-        std::string err;
-        if (!trace::writeTraceFiles(trace_path, m.tracer()->buffer(),
-                                    &err))
-            std::fprintf(stderr, "trace write failed: %s\n",
-                         err.c_str());
-    }
+    writeTrace(m, trace_path);
     return out;
 }
 
@@ -124,11 +117,12 @@ pollingReceiver(Process &p, double *poll_cost, bool *got)
 }
 
 double
-measurePolling(const MachineConfig &base, std::uint64_t polling_timeout)
+measurePolling(const MachineConfig &base)
 {
     MachineConfig cfg = base;
-    cfg.ni.atomicityTimeout =
-        polling_timeout; // keep revocation out of frame
+    // Large enough that revocation never fires inside the measured
+    // window.
+    cfg.ni.atomicityTimeout = 1u << 20;
     Machine m(cfg);
     double poll_cost = 0;
     bool got = false;
@@ -166,7 +160,7 @@ measureKernel(const MachineConfig &base)
 
 void
 printTable(BenchReport &report, const MachineConfig &base,
-           const std::string &trace_path, std::uint64_t polling_timeout)
+           const std::string &trace_path)
 {
     const PathCosts kernel = measureKernel(base);
     // The traced run is the fast-path exemplar: one send, one
@@ -174,7 +168,7 @@ printTable(BenchReport &report, const MachineConfig &base,
     const PathCosts hard =
         measureUser(base, core::AtomicityMode::Hard, trace_path);
     const PathCosts soft = measureUser(base, core::AtomicityMode::Soft);
-    const double poll = measurePolling(base, polling_timeout);
+    const double poll = measurePolling(base);
 
     TablePrinter t({"Item", "kernel", "hard atom", "soft atom",
                     "paper(k/h/s)"},
@@ -209,21 +203,11 @@ printTable(BenchReport &report, const MachineConfig &base,
 int
 main(int argc, char **argv)
 {
-    std::uint64_t pollingTimeout = 1u << 20;
-
     BenchSpec spec;
     spec.name = "table4_fastpath";
     spec.defaults = [](BenchContext &ctx) { ctx.machine.nodes = 2; };
-    spec.params = [&](sim::Binder &b) {
-        auto s = b.push("table4");
-        b.item("polling_timeout", pollingTimeout,
-               "atomicity timeout for the polling measurement (large "
-               "enough to keep revocation out of frame)",
-               "cycles");
-    };
-    spec.body = [&](BenchContext &ctx) {
-        printTable(ctx.report, ctx.machine, ctx.tracePath,
-                   pollingTimeout);
+    spec.body = [](BenchContext &ctx) {
+        printTable(ctx.report, ctx.machine, ctx.tracePath);
         return 0;
     };
     return benchMain(spec, argc, argv);

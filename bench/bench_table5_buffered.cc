@@ -9,14 +9,13 @@
  * diverts), the receiver holds an atomic section so drain is deferred
  * and inserts can be counted in isolation, and costs are read as
  * kernel-cycle deltas on the receiving node across runs with 1 and
- * with `table5.burst` messages.
+ * with kBurst (10) messages.
  */
 
 #include <cstdio>
 
 #include "apps/common.hh"
 #include "harness/benchmain.hh"
-#include "trace/export.hh"
 
 using namespace fugu;
 using namespace fugu::glaze;
@@ -25,6 +24,13 @@ using exec::CoTask;
 
 namespace
 {
+
+/**
+ * Messages in the many-message run: the first pays the demand page
+ * allocation (vmalloc), the remaining kBurst-1 isolate the minimum
+ * insert cost.
+ */
+constexpr int kBurst = 10;
 
 struct BufferedRun
 {
@@ -81,13 +87,7 @@ run(const MachineConfig &base, int messages,
         });
     m.installJob(job);
     fugu_assert(m.runUntilDone(job, 100000000ull), "t5 run stuck");
-    if (!trace_path.empty()) {
-        std::string err;
-        if (!trace::writeTraceFiles(trace_path, m.tracer()->buffer(),
-                                    &err))
-            std::fprintf(stderr, "trace write failed: %s\n",
-                         err.c_str());
-    }
+    writeTrace(m, trace_path);
     BufferedRun out;
     out.kernelCycles = m.node(1).cpu.stats.kernelCycles.value();
     out.handlerMean = job->procs[1]->stats.handlerCycles.mean();
@@ -99,16 +99,15 @@ run(const MachineConfig &base, int messages,
 
 void
 printTable(BenchReport &report, const MachineConfig &base,
-           const std::string &trace_path, unsigned burst)
+           const std::string &trace_path)
 {
     const BufferedRun one = run(base, 1);
     // The traced run is the buffered-path exemplar: every message
     // diverts into the software buffer and drains from it.
-    const BufferedRun many =
-        run(base, static_cast<int>(burst), trace_path);
+    const BufferedRun many = run(base, kBurst, trace_path);
     const double insert_max = one.kernelCycles;
     const double insert_min =
-        (many.kernelCycles - one.kernelCycles) / (burst - 1);
+        (many.kernelCycles - one.kernelCycles) / (kBurst - 1);
     const double from_buffer = many.handlerMean;
 
     TablePrinter t({"Item", "measured", "paper"}, {40, 10, 8});
@@ -143,25 +142,11 @@ printTable(BenchReport &report, const MachineConfig &base,
 int
 main(int argc, char **argv)
 {
-    unsigned burst = 10;
-
     BenchSpec spec;
     spec.name = "table5_buffered";
     spec.defaults = [](BenchContext &ctx) { ctx.machine.nodes = 2; };
-    spec.params = [&](sim::Binder &b) {
-        auto s = b.push("table5");
-        b.item("burst", burst,
-               "messages in the many-message run (>= 2; the first "
-               "pays the vmalloc, the rest isolate the minimum "
-               "insert)");
-    };
-    spec.body = [&](BenchContext &ctx) {
-        if (burst < 2) {
-            std::fprintf(stderr,
-                         "table5_buffered: table5.burst must be >= 2\n");
-            return 2;
-        }
-        printTable(ctx.report, ctx.machine, ctx.tracePath, burst);
+    spec.body = [](BenchContext &ctx) {
+        printTable(ctx.report, ctx.machine, ctx.tracePath);
         return 0;
     };
     return benchMain(spec, argc, argv);

@@ -304,7 +304,6 @@ trace::TraceBuffer
 Machine::mergedTrace() const
 {
     trace::TraceBuffer out(0);
-    out.setTag(cfg.trace.runTag);
     if (tracer_) {
         const trace::TraceBuffer &b = tracer_->buffer();
         for (std::size_t i = 0; i < b.size(); ++i)

@@ -145,8 +145,9 @@ class Machine
     trace::Recorder *tracer() const { return tracer_.get(); }
 
     /**
-     * The retained trace events, copied into an unbounded buffer with
-     * the run tag (empty when tracing is disabled).
+     * The retained trace events, copied into an unbounded buffer
+     * (empty when tracing is disabled); kept for
+     * fugubench/fugubench.cc, its last user.
      */
     trace::TraceBuffer mergedTrace() const;
 

@@ -101,6 +101,16 @@ collect(const Machine &m, const Job &job, bool counters)
 
 } // namespace
 
+void
+writeTrace(const Machine &m, const std::string &path)
+{
+    if (path.empty())
+        return;
+    std::string err;
+    if (!trace::writeTraceFiles(path, m.tracer()->buffer(), &err))
+        warn("trace write failed: ", err);
+}
+
 RunStats
 runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
        bool gang, GangConfig gcfg, Cycle max_cycles,
@@ -121,11 +131,7 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
     }
 
     const bool completed = m.runUntilDone(job, max_cycles);
-    if (!trace_path.empty()) {
-        std::string err;
-        if (!trace::writeTraceFiles(trace_path, m.mergedTrace(), &err))
-            warn("trace write failed: ", err);
-    }
+    writeTrace(m, trace_path);
     // The verdict is collected even for incomplete runs: a hung
     // stress run with violations should report them, not hide them.
     return collect(m, *job, completed);
@@ -155,17 +161,9 @@ runTenants(MachineConfig mcfg,
     out.violations = m.checker()->totalViolations();
     out.holBypasses = m.net.stats.headOfLineBypasses.value();
 
-    const trace::TraceBuffer merged = m.mergedTrace();
-    if (!trace_path.empty()) {
-        std::string err;
-        if (!trace::writeTraceFiles(trace_path, merged, &err))
-            warn("trace write failed: ", err);
-    }
-    std::vector<trace::TraceEvent> events;
-    events.reserve(merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        events.push_back(merged[i]);
-    const trace::Summary sum = trace::summarize(events);
+    writeTrace(m, trace_path);
+    const trace::Summary sum =
+        trace::summarize(m.tracer()->buffer().snapshot());
 
     for (Job *job : handles) {
         TenantStats t;

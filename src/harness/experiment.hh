@@ -86,10 +86,18 @@ struct RunStats
 };
 
 /**
+ * Write @p m's trace ring to @p path (binary) and "<path>.json"
+ * (Chrome trace-event format, Perfetto-loadable), warning if either
+ * write fails. A no-op for an empty @p path; otherwise @p m must
+ * record (trace.enabled). Every --trace run writes through here, so
+ * the JSON's drop count is the ring's own.
+ */
+void writeTrace(const glaze::Machine &m, const std::string &path);
+
+/**
  * One run of @p app, optionally gang-scheduled against "null". When
  * @p trace_path is non-empty, message-lifecycle tracing is enabled
- * and the trace is written there (binary) plus "<path>.json"
- * (Chrome trace-event format, Perfetto-loadable).
+ * and the trace is written there (writeTrace).
  */
 RunStats runJob(glaze::MachineConfig mcfg, const AppFactory &app,
                 bool with_null, bool gang, glaze::GangConfig gcfg,
@@ -111,7 +119,7 @@ RunStats runTrials(const glaze::MachineConfig &mcfg,
 
 /**
  * One tenant of a runTenants run. Latency percentiles come from the
- * merged trace's per-GID matched inject->extract pairs, so one
+ * trace's per-GID matched inject->extract pairs, so one
  * tenant's numbers are never polluted by its neighbours' traffic the
  * way machine-wide histograms are.
  */
@@ -140,9 +148,9 @@ struct TenantRunStats
 /**
  * Gang-schedule several tenants on one machine and run until jobs[0]
  * completes; the others may still be mid-flight. Tracing is forced
- * on: per-tenant latency is attributed through the merged trace's
+ * on, unbounded: per-tenant latency is attributed through the trace's
  * per-GID breakdown. A non-empty @p trace_path also writes that
- * trace, as runJob does.
+ * trace (writeTrace).
  */
 TenantRunStats
 runTenants(glaze::MachineConfig mcfg,

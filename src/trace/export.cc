@@ -63,15 +63,9 @@ loadLe(const unsigned char *b, unsigned n)
 void
 writeBinary(std::ostream &os, const TraceBuffer &buf)
 {
-    const std::string &tag = buf.tag();
     putU32(os, kBinaryMagic);
-    putU32(os, tag.empty() ? kBinaryVersion : kBinaryVersionTagged);
+    putU32(os, kBinaryVersion);
     putU64(os, buf.size());
-    if (!tag.empty()) {
-        putU32(os, static_cast<std::uint32_t>(tag.size()));
-        os.write(tag.data(),
-                 static_cast<std::streamsize>(tag.size()));
-    }
     for (std::size_t i = 0; i < buf.size(); ++i) {
         const TraceEvent &e = buf[i];
         putU64(os, e.ts);
@@ -85,40 +79,21 @@ writeBinary(std::ostream &os, const TraceBuffer &buf)
 
 bool
 readBinary(std::istream &is, std::vector<TraceEvent> &out,
-           std::string *err, std::string *tag)
+           std::string *err)
 {
     auto fail = [&](const char *what) {
         if (err)
             *err = what;
         return false;
     };
-    if (tag)
-        tag->clear();
     unsigned char hdr[16];
     if (!getBytes(is, hdr, sizeof(hdr)))
         return fail("truncated header");
     if (loadLe(hdr, 4) != kBinaryMagic)
         return fail("bad magic (not a fugutrace binary)");
-    const std::uint64_t version = loadLe(hdr + 4, 4);
-    if (version != kBinaryVersion && version != kBinaryVersionTagged)
+    if (loadLe(hdr + 4, 4) != kBinaryVersion)
         return fail("unsupported trace version");
     const std::uint64_t count = loadLe(hdr + 8, 8);
-    if (version == kBinaryVersionTagged) {
-        unsigned char lenb[4];
-        if (!getBytes(is, lenb, sizeof(lenb)))
-            return fail("truncated run-tag length");
-        const std::uint64_t len = loadLe(lenb, 4);
-        // Untrusted length: a run tag is a short label, never megabytes.
-        if (len > 4096)
-            return fail("implausible run-tag length");
-        std::string t(static_cast<std::size_t>(len), '\0');
-        if (len && !getBytes(is,
-                             reinterpret_cast<unsigned char *>(&t[0]),
-                             static_cast<std::size_t>(len)))
-            return fail("truncated run tag");
-        if (tag)
-            *tag = std::move(t);
-    }
     out.clear();
     // The header's count is untrusted input: a corrupt/hostile value
     // must not drive a multi-GB reserve. Cap the pre-allocation; the
@@ -144,7 +119,7 @@ readBinary(std::istream &is, std::vector<TraceEvent> &out,
 
 bool
 readBinaryFile(const std::string &path, std::vector<TraceEvent> &out,
-               std::string *err, std::string *tag)
+               std::string *err)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is) {
@@ -152,7 +127,7 @@ readBinaryFile(const std::string &path, std::vector<TraceEvent> &out,
             *err = "cannot open " + path;
         return false;
     }
-    return readBinary(is, out, err, tag);
+    return readBinary(is, out, err);
 }
 
 // ---------------------------------------------------------------------
@@ -400,8 +375,6 @@ pctTenths(double pct)
 void
 printSummary(std::ostream &os, const Summary &s)
 {
-    if (!s.runTag.empty())
-        os << "run tag: " << s.runTag << "\n";
     os << "events " << s.events << " (cycles " << s.firstTs << ".."
        << s.lastTs << ")\n";
 
@@ -490,10 +463,6 @@ printDiff(std::ostream &os, const Summary &a, const Summary &b)
            << (vb >= va ? "+" : "-")
            << (vb >= va ? vb - va : va - vb) << ")\n";
     };
-    if (!a.runTag.empty() || !b.runTag.empty())
-        os << "run tags: "
-           << (a.runTag.empty() ? "(untagged)" : a.runTag) << " -> "
-           << (b.runTag.empty() ? "(untagged)" : b.runTag) << "\n";
     os << "events " << a.events << " -> " << b.events << "\n";
     os << "per-type:\n";
     for (unsigned t = 0; t < kNumTypes; ++t)

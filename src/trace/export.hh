@@ -5,10 +5,12 @@
  *
  * Two side-by-side formats are written for every `--trace=FILE` run:
  *
- *  - FILE: compact binary ("FGTR"), 16-byte header + 24-byte
- *    little-endian records, readable by tracetool and readBinary();
+ *  - FILE: compact binary ("FGTR", version 1), 16-byte header +
+ *    24-byte little-endian records, readable by tracetool and
+ *    readBinary();
  *  - FILE.json: Chrome trace-event JSON (the `traceEvents` array
- *    form), loadable directly in Perfetto / chrome://tracing.
+ *    form), loadable directly in Perfetto / chrome://tracing, with
+ *    the retained and dropped event counts in `otherData`.
  *
  * Both are byte-deterministic: integers only, no host state.
  */
@@ -28,32 +30,25 @@ namespace fugu::trace
 {
 
 /**
- * Binary format magic and versions ("FGTR", little-endian u32).
- * Version 1 is header {magic, version, count} + 24-byte records.
- * Version 2 inserts a run-tag block ({u32 length, bytes}) between the
- * header and the records; it is only written when the recording
- * carried a non-empty tag, so untagged runs stay byte-identical with
- * every version-1 reader and golden.
+ * Binary format magic and version ("FGTR", little-endian u32): header
+ * {magic, version, count} + 24-byte records.
  */
 inline constexpr std::uint32_t kBinaryMagic = 0x52544746u;
 inline constexpr std::uint32_t kBinaryVersion = 1;
-inline constexpr std::uint32_t kBinaryVersionTagged = 2;
 
 void writeBinary(std::ostream &os, const TraceBuffer &buf);
 void writeJson(std::ostream &os, const TraceBuffer &buf);
 
 /**
- * Parse a binary trace (version 1 or 2). A version-2 run tag is
- * stored into @p tag when non-null.
+ * Parse a binary trace.
  * @return false (with @p err set) on bad magic/version/truncation.
  */
 bool readBinary(std::istream &is, std::vector<TraceEvent> &out,
-                std::string *err, std::string *tag = nullptr);
+                std::string *err);
 
 /** readBinary from a path. */
 bool readBinaryFile(const std::string &path,
-                    std::vector<TraceEvent> &out, std::string *err,
-                    std::string *tag = nullptr);
+                    std::vector<TraceEvent> &out, std::string *err);
 
 /** Write both FILE (binary) and FILE.json for a recorded buffer. */
 bool writeTraceFiles(const std::string &path, const TraceBuffer &buf,
@@ -72,9 +67,6 @@ struct LatencyStats
 /** What `tracetool summarize` reports. */
 struct Summary
 {
-    /** Run tag from a version-2 trace header (empty if untagged). */
-    std::string runTag;
-
     std::uint64_t events = 0;
     Cycle firstTs = 0;
     Cycle lastTs = 0;

@@ -13,9 +13,6 @@ bindConfig(sim::Binder &b, Options &c)
            "record message-lifecycle trace events");
     b.item("max_events", c.maxEvents,
            "trace ring capacity (0 = unbounded)", "events");
-    b.item("run_tag", c.runTag,
-           "label stamped into exported traces (e.g. backend=damq); "
-           "empty keeps the version-1 binary format");
 }
 
 const char *

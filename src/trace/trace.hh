@@ -12,7 +12,9 @@
  * Event timestamps come from the Machine's EventQueue, event order is
  * recording order, and nothing host-dependent (pointers, wall-clock,
  * thread ids) enters the buffer, so a trace is bit-identical across
- * runs and across FUGU_THREADS settings.
+ * runs and across FUGU_THREADS settings. A `--trace=FILE` run exports
+ * the ring itself (harness::writeTrace), so the exported drop count
+ * is the ring's.
  */
 
 #ifndef FUGU_TRACE_TRACE_HH
@@ -20,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/event.hh"
@@ -163,14 +164,6 @@ struct Options
      * reported by the exporters. 0 means unbounded.
      */
     std::size_t maxEvents = 1u << 20;
-
-    /**
-     * Free-form label stamped into exported traces (e.g.
-     * "backend=damq") so ablation runs stay distinguishable in
-     * summaries and diffs. Empty (the default) keeps the version-1
-     * binary format byte for byte; a tag writes a version-2 header.
-     */
-    std::string runTag;
 };
 
 /** Register the tracing knobs on the scenario/config tree. */
@@ -221,10 +214,6 @@ class TraceBuffer
     /** Copy the retained events, oldest first. */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Run label carried into the exporters (may be empty). */
-    const std::string &tag() const { return tag_; }
-    void setTag(std::string tag) { tag_ = std::move(tag); }
-
   private:
     static constexpr std::size_t kChunk = std::size_t{1} << 16;
 
@@ -233,7 +222,6 @@ class TraceBuffer
     std::size_t cap_;
     std::uint64_t total_ = 0;
     std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
-    std::string tag_;
 };
 
 /** Stamps events with the owning Machine's simulated clock. */
@@ -242,9 +230,7 @@ class Recorder
   public:
     Recorder(const EventQueue &eq, const Options &opts)
         : eq_(eq), buf_(opts.maxEvents)
-    {
-        buf_.setTag(opts.runTag);
-    }
+    {}
 
     Recorder(const Recorder &) = delete;
     Recorder &operator=(const Recorder &) = delete;

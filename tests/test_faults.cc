@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/common.hh"
-#include "core/arch.hh"
+#include "apps/adversary.hh"
 #include "glaze/machine.hh"
 #include "harness/experiment.hh"
 #include "sim/config.hh"
@@ -110,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 
 /**
- * A tenant that arms the user-settable timer-force UAC bit and never
+ * A squatter that arms the user-settable timer-force UAC bit and never
  * opens (or closes) an atomic section, while doing real barrier
  * traffic. The atomicity timer then expires repeatedly with
  * interrupt-disable clear; each expiry must revoke into plain
@@ -119,39 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
  * onAtomicityTimeout committed from_atomic unconditionally and the
  * first expiry wedged the process's drain forever.
  */
-glaze::AppBody
-makeTimerForceSquatter(unsigned nnodes, unsigned barriers)
-{
-    return [=](glaze::Process &p) -> exec::CoTask<void> {
-        auto &e = apps::env(p, nnodes);
-        p.port().ni().beginAtom(core::kUacTimerForce);
-        for (unsigned i = 0; i < barriers; ++i) {
-            co_await p.compute(400);
-            co_await e.barrier.wait();
-        }
-    };
-}
-
-/**
- * A tenant that re-arms physical atomicity back to back, holding each
- * section past the timeout preset so revocation keeps firing, with a
- * timeout storm layered on top to land stale interrupts in the
- * modeTransition window.
- */
-glaze::AppBody
-makeAtomicSquatter(unsigned nnodes, unsigned barriers)
-{
-    return [=](glaze::Process &p) -> exec::CoTask<void> {
-        auto &e = apps::env(p, nnodes);
-        for (unsigned i = 0; i < barriers; ++i) {
-            co_await p.port().beginAtomic();
-            co_await p.compute(3000); // > the timeout preset below
-            co_await p.port().endAtomic();
-            co_await e.barrier.wait();
-        }
-    };
-}
-
 TEST(AtomicityTest, TimerForceSquatterCannotWedgeTheDrain)
 {
     MachineConfig cfg;
@@ -164,7 +130,8 @@ TEST(AtomicityTest, TimerForceSquatterCannotWedgeTheDrain)
     const RunStats r = harness::runJob(
         cfg,
         [](unsigned n, std::uint64_t) {
-            return makeTimerForceSquatter(n, 80);
+            return apps::makeSquatterApp(
+                n, {.rounds = 80, .holdCycles = 400, .timerForce = true});
         },
         /*with_null=*/false, /*gang=*/false, {},
         /*max_cycles=*/200000000ull);
@@ -175,6 +142,12 @@ TEST(AtomicityTest, TimerForceSquatterCannotWedgeTheDrain)
     EXPECT_GT(r.atomicityTimeouts, 0.0);
 }
 
+/**
+ * A squatter that re-arms physical atomicity back to back, holding
+ * each section past the timeout preset so revocation keeps firing,
+ * with a timeout storm layered on top to land stale interrupts in the
+ * modeTransition window.
+ */
 TEST(AtomicityTest, TimeoutStormAgainstAtomicitySquatter)
 {
     MachineConfig cfg;
@@ -184,8 +157,10 @@ TEST(AtomicityTest, TimeoutStormAgainstAtomicitySquatter)
     cfg.fault.enabled = true;
     cfg.fault.atomTimeoutProb = 0.5;
     cfg.fault.divertStormProb = 0.3;
+    // Each section holds 3000 cycles, past the preset above.
     const auto factory = [](unsigned n, std::uint64_t) {
-        return makeAtomicSquatter(n, 60);
+        return apps::makeSquatterApp(
+            n, {.rounds = 60, .holdCycles = 3000});
     };
     const RunStats r = harness::runJob(cfg, factory,
                                        /*with_null=*/true,

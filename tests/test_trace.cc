@@ -5,7 +5,8 @@
  * across FUGU_THREADS settings, buffered-entry cause attribution for
  * every DivertReason, and the summarize() accounting the tracetool
  * relies on (per-cause divert counts sum to the kernel's
- * buffer-insert aggregate).
+ * buffer-insert aggregate), and the drop count a traced runJob
+ * exports once its ring wraps.
  */
 
 #include <gtest/gtest.h>
@@ -248,6 +249,13 @@ TEST_F(TraceTest, BinaryReaderRejectsGarbage)
     std::string err;
     EXPECT_FALSE(readBinary(ss, out, &err));
     EXPECT_FALSE(err.empty());
+
+    // A version-2 header (the retired run-tag format), well formed
+    // down to an empty tag block and zero records.
+    std::stringstream v2(
+        std::string("FGTR\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0", 20));
+    EXPECT_FALSE(readBinary(v2, out, &err));
+    EXPECT_EQ(err, "unsupported trace version");
 }
 
 /**
@@ -316,6 +324,56 @@ TEST_F(TraceTest, WriteTraceFilesProducesBothFormats)
     expectWellFormedChromeJson(readFileBytes(path + ".json"));
     std::remove(path.c_str());
     std::remove((path + ".json").c_str());
+}
+
+/** The integer after @p key in an exported trace's otherData. */
+std::uint64_t
+otherDataCount(const std::string &json, const std::string &key)
+{
+    const std::string k = "\"" + key + "\":";
+    const std::size_t at = json.find(k);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no " << k << " in the trace JSON";
+        return 0;
+    }
+    return std::stoull(json.substr(at + k.size()));
+}
+
+TEST_F(TraceTest, RunJobTraceReportsRingDrops)
+{
+    const std::string whole = testing::TempDir() + "fugu_whole.trace";
+    const std::string ring = testing::TempDir() + "fugu_ring64.trace";
+    harness::Workloads wl;
+    const auto traced = [&](std::size_t max_events,
+                            const std::string &path) {
+        MachineConfig cfg;
+        cfg.nodes = 2;
+        cfg.trace.maxEvents = max_events;
+        const harness::RunStats rs = harness::runJob(
+            cfg, wl.factory("barrier"), /*with_null=*/false,
+            /*gang=*/false, {}, 100000000000ull, path);
+        EXPECT_TRUE(rs.completed);
+        return readFileBytes(path + ".json");
+    };
+    const std::string unbounded = traced(0, whole);
+    const std::string bounded = traced(64, ring);
+
+    const std::uint64_t total = otherDataCount(unbounded, "events");
+    EXPECT_EQ(otherDataCount(unbounded, "dropped"), 0u);
+    ASSERT_GT(total, 64u);
+    EXPECT_EQ(otherDataCount(bounded, "events"), 64u);
+    EXPECT_EQ(otherDataCount(bounded, "dropped"), total - 64);
+
+    // The ring keeps the newest 64 records of the same run.
+    std::vector<TraceEvent> all, kept;
+    std::string err;
+    ASSERT_TRUE(readBinaryFile(whole, all, &err)) << err;
+    ASSERT_TRUE(readBinaryFile(ring, kept, &err)) << err;
+    EXPECT_EQ(kept, std::vector<TraceEvent>(all.end() - 64, all.end()));
+    for (const std::string &p : {whole, ring}) {
+        std::remove(p.c_str());
+        std::remove((p + ".json").c_str());
+    }
 }
 
 /** Gang-scheduled skewed run: the Figure 7 shape in miniature. */

@@ -32,11 +32,10 @@ usage()
 }
 
 bool
-load(const std::string &path, std::vector<fugu::trace::TraceEvent> &ev,
-     std::string &tag)
+load(const std::string &path, std::vector<fugu::trace::TraceEvent> &ev)
 {
     std::string err;
-    if (!fugu::trace::readBinaryFile(path, ev, &err, &tag)) {
+    if (!fugu::trace::readBinaryFile(path, ev, &err)) {
         std::cerr << "tracetool: " << path << ": " << err << "\n";
         return false;
     }
@@ -58,13 +57,10 @@ main(int argc, char **argv)
         if (argc != 3)
             return usage();
         std::vector<TraceEvent> ev;
-        std::string tag;
-        if (!load(argv[2], ev, tag))
+        if (!load(argv[2], ev))
             return 1;
         std::cout << argv[2] << ":\n";
-        Summary s = summarize(ev);
-        s.runTag = tag;
-        printSummary(std::cout, s);
+        printSummary(std::cout, summarize(ev));
         return 0;
     }
 
@@ -72,14 +68,10 @@ main(int argc, char **argv)
         if (argc != 4)
             return usage();
         std::vector<TraceEvent> a, b;
-        std::string ta, tb;
-        if (!load(argv[2], a, ta) || !load(argv[3], b, tb))
+        if (!load(argv[2], a) || !load(argv[3], b))
             return 1;
         std::cout << "A = " << argv[2] << "\nB = " << argv[3] << "\n";
-        Summary sa = summarize(a), sb = summarize(b);
-        sa.runTag = ta;
-        sb.runTag = tb;
-        printDiff(std::cout, sa, sb);
+        printDiff(std::cout, summarize(a), summarize(b));
         return 0;
     }
 
