@@ -9,6 +9,10 @@ PARENT and CHANGE are source checkouts, each with a Release build in
 its build/ directory (at least bench_engine and bench_sweep). Each
 side runs its own binaries on its own scenario files, at
 FUGU_THREADS=1, so both do the same simulated work on one core.
+One reference, fig7_threads, passes --threads=2, which sets
+FUGU_THREADS itself. It covers the threaded regime: once a process
+has started a thread, libstdc++ makes every shared_ptr refcount
+update atomic, a cost that no single-threaded run pays.
 
 The gate runs ROUNDS rounds. A round runs every reference three times
 back to back -- parent, change and parent again, starting at a
@@ -38,9 +42,10 @@ LIMIT = 0.10
 
 # (name, command run from the checkout's root). Together they cover
 # the event kernel, large meshes, the serving tier, every NI backend
-# under runTenants with tracing on, and the paper apps gang-scheduled
-# and at paper scale. The isolation grid runs its victim at 16x: the
-# shipped grid alone takes well under a second, too short to gate.
+# under runTenants with tracing on, the paper apps gang-scheduled
+# and at paper scale, and (fig7_threads) a process that has started
+# threads. The isolation grid runs its victim at 16x: the shipped
+# grid alone takes well under a second, too short to gate.
 REFERENCES = [
     ("engine", "bench_engine"),
     ("scale1k_synth",
@@ -51,6 +56,8 @@ REFERENCES = [
      "bench_sweep --scenario scenarios/isolation.cfg"
      " --set apps.barrier.barriers=6400"),
     ("fig7", "bench_sweep --scenario scenarios/fig7_skew.cfg"),
+    ("fig7_threads",
+     "bench_sweep --scenario scenarios/fig7_skew.cfg --threads=2"),
     ("table6", "bench_sweep --scenario scenarios/table6_appchar.cfg"),
 ]
 
@@ -107,8 +114,11 @@ def main():
     for knob in ("FUGU_QUICK", "FUGU_PAPER_SCALE", "FUGU_BENCH_N"):
         env.pop(knob, None)
 
-    print(f"nproc {os.cpu_count()}, FUGU_THREADS=1, {ROUNDS} rounds, "
-          f"limit {LIMIT:.2f}")
+    threaded = "".join(f", {name} {arg}" for name, command in REFERENCES
+                       for arg in command.split()
+                       if arg.startswith("--threads="))
+    print(f"nproc {os.cpu_count()}, FUGU_THREADS=1{threaded}, "
+          f"{ROUNDS} rounds, limit {LIMIT:.2f}")
     print(f"parent {parent}: {compiler(parent)}")
     print(f"change {change}: {compiler(change)}", flush=True)
 

@@ -97,24 +97,20 @@ UdmPort::headPayloadWords() const
     return (buffered_ ? buffered_->size() : ni_.inputSize()) - 2;
 }
 
-exec::CoTask<Word>
+UdmPort::ReadAwaiter
 UdmPort::read(unsigned idx)
 {
-    ++wordsRead_;
-    if (buffered_) {
-        // Backend-dependent drain cost (half-cycle granularity, same
-        // integer floor per word as CostModel::bufferArgCost).
-        co_await cpu_.spend(bufCosts_.perWordX2 / 2);
-    } else {
-        co_await cpu_.spend(costs_.receiveArgCost(1));
-    }
-    co_return readRaw(2 + idx);
+    // Buffered: the backend-dependent drain cost (half-cycle
+    // granularity, same integer floor per word as
+    // CostModel::bufferArgCost).
+    const Cycle cost = buffered_ ? bufCosts_.perWordX2 / 2
+                                 : costs_.receiveArgCost(1);
+    return {cpu_.spend(cost), this, idx};
 }
 
 exec::CoTask<void>
 UdmPort::dispose()
 {
-    wordsRead_ = 0;
     if (buffered_) {
         // Retrieval from the buffer plus the dispose-extend trap
         // emulation; the base cost is the backend's.
@@ -200,12 +196,6 @@ UdmPort::poll()
     co_await cpu_.spend(costs_.pollDispatch);
     co_await dispatch(costs_.pollNullHandler);
     co_return true;
-}
-
-exec::CoTask<void>
-UdmPort::dispatchUpcall()
-{
-    co_await dispatch(costs_.nullHandler);
 }
 
 // ---------------------------------------------------------------------

@@ -118,11 +118,24 @@ class UdmPort
     unsigned headPayloadWords() const;
 
     /**
-     * Read payload word @p idx of the pending message into user
-     * variables; charges the per-word extract cost of the active
-     * delivery path.
+     * Awaiter for read(), with no coroutine frame: one per-word
+     * spend, then the payload word from whichever buffer the port
+     * points at when the spend ends (a divert may retarget it
+     * mid-spend).
      */
-    exec::CoTask<Word> read(unsigned idx);
+    struct [[nodiscard]] ReadAwaiter : exec::Cpu::SpendAwaiter
+    {
+        const UdmPort *port;
+        unsigned idx;
+        Word await_resume() const { return port->readRaw(2 + idx); }
+    };
+
+    /**
+     * Read payload word @p idx of the pending message into user
+     * variables; charges the per-word extract cost of the delivery
+     * path active at the call.
+     */
+    ReadAwaiter read(unsigned idx);
 
     /**
      * Extract-and-free the pending message. Charges the handler
@@ -162,7 +175,11 @@ class UdmPort
      * Dispatch the pending message's handler with upcall-path costs.
      * Called by the OS upcall stub inside the upcall context.
      */
-    exec::CoTask<void> dispatchUpcall();
+    exec::CoTask<void>
+    dispatchUpcall()
+    {
+        return dispatch(costs_.nullHandler);
+    }
 
     /// @}
     /// @name OS-side mode control (transparent to the user)
@@ -198,9 +215,6 @@ class UdmPort
 
     /** Base cost dispose() charges; set by the dispatch path. */
     Cycle disposeBase_;
-
-    /** Payload words read since the last dispose (per-word costs). */
-    unsigned wordsRead_ = 0;
 };
 
 } // namespace fugu::core

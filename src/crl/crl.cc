@@ -464,7 +464,7 @@ Crl::debugDump(std::ostream &os) const
 exec::CoTask<void>
 Crl::sendMsg(NodeId dst, MsgId id, net::PayloadVec payload)
 {
-    co_await proc_.port().send(dst, base_ + id, std::move(payload));
+    return proc_.port().send(dst, base_ + id, std::move(payload));
 }
 
 // ---------------------------------------------------------------------

@@ -100,7 +100,7 @@ Cpu::destroyParkedContexts()
     current_.reset();
     pendingReturn_.reset();
     retired_.reset();
-    spend_.ctx.reset();
+    spend_.ctx = nullptr;
     timer_.cb = nullptr;
 
     // Destroy the frame of every context suspended mid-coroutine.
@@ -176,7 +176,7 @@ Cpu::raiseIrq(unsigned line)
     pendingIrqs_ |= 1u << line;
     if (current_) {
         if (current_->preemptible() && spend_.active &&
-            spend_.ctx == current_) {
+            spend_.ctx == current_.get()) {
             // Preempt the user context in the middle of its spend.
             ++stats.preemptions;
             ContextPtr victim = current_;
@@ -274,17 +274,17 @@ bool
 Cpu::onSpendSuspend(Cycle n, std::coroutine_handle<> h)
 {
     fugu_assert(current_, "spend() outside any context");
-    ContextPtr ctx = current_;
-    ctx->resumePoint_ = h;
-    if (ctx->preemptible() && pendingIrqLine() >= 0) {
+    Context &ctx = *current_;
+    ctx.resumePoint_ = h;
+    if (ctx.preemptible() && pendingIrqLine() >= 0) {
         // An interrupt arrived while this context executed between
-        // spends; take it now, before the spend begins.
+        // spends; take it now, before the spend begins. current_
+        // moves into the handler's return path.
         ++stats.preemptions;
-        ctx->state_ = CtxState::Frozen;
-        ctx->remaining_ = n;
-        current_.reset();
+        ctx.state_ = CtxState::Frozen;
+        ctx.remaining_ = n;
         dispatchIrq(static_cast<unsigned>(pendingIrqLine()),
-                    std::move(ctx));
+                    std::move(current_));
         return true;
     }
     if (n == 0)
@@ -433,7 +433,7 @@ Cpu::beginSpend(Cycle n)
 {
     fugu_assert(current_ && !spend_.active);
     spend_.active = true;
-    spend_.ctx = current_;
+    spend_.ctx = current_.get();
     spend_.start = eq_.now();
     spend_.end = eq_.now() + n;
     spend_.endEv = eq_.scheduleFn([this] { onSpendComplete(); },
@@ -444,13 +444,15 @@ Cpu::beginSpend(Cycle n)
 void
 Cpu::onSpendComplete()
 {
-    fugu_assert(spend_.active && spend_.ctx == current_);
-    ContextPtr ctx = current_;
+    fugu_assert(spend_.active && spend_.ctx == current_.get());
+    // current_ stays set (and owns ctx) until the resume below: the
+    // timer callback only raises an interrupt, which pends.
+    Context &ctx = *spend_.ctx;
     Cycle n = spend_.end - spend_.start;
     spend_.active = false;
-    spend_.ctx.reset();
+    spend_.ctx = nullptr;
     accountCycles(ctx, n);
-    if (timer_.active && ctx->preemptible()) {
+    if (timer_.active && ctx.preemptible()) {
         // The in-spend firing event (if any) only exists for
         // deadlines strictly inside the spend; a deadline landing
         // exactly on the spend boundary fires here.
@@ -461,32 +463,32 @@ Cpu::onSpendComplete()
             cb(); // typically raises an IRQ; pends until next spend
         }
     }
-    ctx->resumePoint_.resume();
+    ctx.resumePoint_.resume();
 }
 
 void
 Cpu::preemptCurrent()
 {
-    ContextPtr ctx = current_;
-    fugu_assert(spend_.active && spend_.ctx == ctx);
+    fugu_assert(spend_.active && spend_.ctx == current_.get());
+    Context &ctx = *spend_.ctx;
     Cycle now = eq_.now();
     Cycle consumed = now - spend_.start;
     Cycle rem = spend_.end - now;
     eq_.cancelFn(spend_.endEv);
     spend_.active = false;
-    spend_.ctx.reset();
+    spend_.ctx = nullptr;
     accountCycles(ctx, consumed);
     if (timer_.active)
         eq_.cancelFn(timer_.ev); // re-armed at the next user spend
-    ctx->state_ = CtxState::Frozen;
-    ctx->remaining_ = rem;
+    ctx.state_ = CtxState::Frozen;
+    ctx.remaining_ = rem;
     current_.reset();
 }
 
 void
-Cpu::accountCycles(const ContextPtr &ctx, Cycle n)
+Cpu::accountCycles(const Context &ctx, Cycle n)
 {
-    if (ctx->preemptible()) {
+    if (ctx.preemptible()) {
         userCycles_ += n;
         stats.userCycles += static_cast<double>(n);
     } else {

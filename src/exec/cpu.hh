@@ -120,7 +120,7 @@ class Cpu
     /// @name Awaitables, used from coroutine code running on this Cpu
     /// @{
 
-    struct SpendAwaiter
+    struct [[nodiscard]] SpendAwaiter
     {
         Cpu *cpu;
         Cycle n;
@@ -250,10 +250,16 @@ class Cpu
                              std::uint64_t arg);
     /// @}
 
+    /**
+     * The spend in flight. Its context is always current_, which owns
+     * it for the whole spend, so a raw pointer suffices: beginning and
+     * ending a spend copies no ContextPtr (each copy is two atomic
+     * read-modify-writes once the process has started a thread).
+     */
     struct SpendState
     {
         bool active = false;
-        ContextPtr ctx;
+        Context *ctx = nullptr;
         Cycle start = 0;
         Cycle end = 0;
         EventHandle endEv;
@@ -288,7 +294,10 @@ class Cpu
     void beginSpend(Cycle n);
     void onSpendComplete();
 
-    /** Freeze the current context mid/pre-spend (IRQ arrived). */
+    /**
+     * Freeze the current context mid-spend (IRQ arrived) and clear
+     * current_; the caller holds its own reference to the victim.
+     */
     void preemptCurrent();
 
     /** Central dispatch decision when the Cpu goes idle. */
@@ -308,7 +317,7 @@ class Cpu
                         const char *why);
 
     /** Account user/kernel cycles for a completed slice. */
-    void accountCycles(const ContextPtr &ctx, Cycle n);
+    void accountCycles(const Context &ctx, Cycle n);
 
     /** Arm the timer firing event against the active spend. */
     void armTimerForSpend();

@@ -57,12 +57,8 @@ class Process : public core::PortObserver
     /// @name Application conveniences
     /// @{
 
-    /** Model @p n cycles of local computation. */
-    exec::CoTask<void>
-    compute(Cycle n)
-    {
-        co_await cpu_.spend(n);
-    }
+    /** Model @p n cycles of local computation (no coroutine frame). */
+    exec::Cpu::SpendAwaiter compute(Cycle n) { return cpu_.spend(n); }
 
     /**
      * Touch a heap page; takes a page-fault trap on first touch of a

@@ -122,8 +122,8 @@ CondVar::wait()
     ThreadPtr self = sched_.current();
     fugu_assert(self, "CondVar::wait() from a non-thread context "
                       "(message handlers must not block)");
-    waiters_.push_back(self);
-    co_await sched_.blockCurrent();
+    waiters_.push_back(std::move(self));
+    return sched_.blockCurrent();
 }
 
 void

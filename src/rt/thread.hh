@@ -138,7 +138,8 @@ class CondVar
 
     /**
      * Block the current thread until notified. Use with a predicate
-     * loop, as notifications are not sticky.
+     * loop, as notifications are not sticky. The thread joins the
+     * waiters at the call, so await the result in the same expression.
      */
     exec::CoTask<void> wait();
 

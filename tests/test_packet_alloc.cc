@@ -8,6 +8,12 @@
  * back-pressure waiters together leave nothing to allocate in steady
  * state.
  *
+ * The same counter then follows the leaf operations of a fast-case
+ * delivery on a running machine: Process::compute and UdmPort::read
+ * are awaiters with no coroutine frame, so a warmed-up compute loop
+ * allocates nothing and a handler that reads every payload word
+ * allocates no more than one that reads a single word.
+ *
  * Same shape as test_event_alloc: counting operator new/delete, warm
  * up to high-water capacity, snapshot the counter, assert it holds.
  */
@@ -18,7 +24,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "glaze/machine.hh"
 #include "net/network.hh"
 
 namespace
@@ -237,6 +245,119 @@ TEST_F(PacketAllocTest, BackPressureWakeupIsAllocationFree)
     EXPECT_EQ(g_newCalls.load(), before)
         << "back-pressure wakeup allocated in steady state";
     EXPECT_GE(waiter.fired, fired_before + 256);
+}
+
+// ---------------------------------------------------------------------
+// Fast-case delivery leaves
+// ---------------------------------------------------------------------
+
+/** Spends of one cycle that warm every near-band bucket first. */
+exec::CoTask<void>
+computeLoop(glaze::Process &p, std::uint64_t *allocs)
+{
+    for (unsigned i = 0; i < 4 * 1024; ++i)
+        co_await p.compute(1);
+    const std::uint64_t before = g_newCalls.load();
+    for (unsigned i = 0; i < 1000; ++i)
+        co_await p.compute(1);
+    *allocs = g_newCalls.load() - before;
+}
+
+TEST(FastCaseAllocTest, ComputeIsAllocationFree)
+{
+    glaze::MachineConfig cfg;
+    cfg.nodes = 1;
+    glaze::Machine m(cfg);
+    std::uint64_t allocs = ~0ull;
+    glaze::Job *job = m.addJob("compute", [&allocs](glaze::Process &p) {
+        return computeLoop(p, &allocs);
+    });
+    m.installJob(job);
+    ASSERT_TRUE(m.runUntilDone(job));
+    EXPECT_EQ(allocs, 0u) << "1000 compute(1) awaits allocated";
+}
+
+constexpr Word kReadHandler = 1;
+constexpr unsigned kDeliveries = 1280;
+constexpr unsigned kWarmDeliveries = 1024;
+
+/** Node 1's view of the run: how many payload words each handler reads. */
+struct Delivery
+{
+    unsigned words = 0;
+    unsigned handled = 0;
+    std::vector<std::uint64_t> marks; ///< g_newCalls at handler entry
+};
+
+/**
+ * One full-size message every 2048 cycles, so each is handled on the
+ * fast path before the next is sent.
+ */
+exec::CoTask<void>
+spacedSender(glaze::Process &p)
+{
+    PayloadVec payload;
+    for (unsigned i = 0; i < kMaxPayloadWords; ++i)
+        payload.push_back(i);
+    for (unsigned i = 0; i < kDeliveries; ++i) {
+        co_await p.compute(2048);
+        co_await p.port().send(1, kReadHandler, payload);
+    }
+}
+
+exec::CoTask<void>
+reader(glaze::Process &p, Delivery *d)
+{
+    rt::CondVar done(p.threads());
+    p.port().setHandler(
+        kReadHandler,
+        [d, &done](core::UdmPort &port, NodeId) -> exec::CoTask<void> {
+            d->marks.push_back(g_newCalls.load());
+            for (unsigned i = 0; i < d->words; ++i)
+                (void)co_await port.read(i);
+            co_await port.dispose();
+            if (++d->handled == kDeliveries)
+                done.notifyAll();
+        });
+    while (d->handled < kDeliveries)
+        co_await done.wait();
+}
+
+/**
+ * Heap allocations over the deliveries after warm-up (both nodes: the
+ * send, the interrupt and upcall contexts, the handler and dispose).
+ * The sender's period repeats every 1024 deliveries in the near band,
+ * so warm-up has grown every event-queue bucket it will use.
+ */
+std::uint64_t
+deliveryAllocations(unsigned words)
+{
+    glaze::MachineConfig cfg;
+    cfg.nodes = 2;
+    glaze::Machine m(cfg);
+    Delivery d;
+    d.words = words;
+    d.marks.reserve(kDeliveries);
+    glaze::Job *job = m.addJob("deliver", [&d](glaze::Process &p) {
+        return p.node() == 0 ? spacedSender(p) : reader(p, &d);
+    });
+    m.installJob(job);
+    EXPECT_TRUE(m.runUntilDone(job));
+    EXPECT_EQ(d.marks.size(), kDeliveries);
+    const auto &st = job->procs[1]->stats;
+    EXPECT_EQ(st.directDelivered.value(), kDeliveries);
+    EXPECT_EQ(st.bufferedDelivered.value(), 0);
+    if (d.marks.size() != kDeliveries)
+        return ~0ull;
+    return d.marks.back() - d.marks[kWarmDeliveries];
+}
+
+TEST(FastCaseAllocTest, PayloadReadsAreAllocationFree)
+{
+    const std::uint64_t one = deliveryAllocations(1);
+    const std::uint64_t all = deliveryAllocations(kMaxPayloadWords);
+    EXPECT_EQ(all, one) << "reading " << kMaxPayloadWords
+                        << " payload words instead of 1 allocated";
 }
 
 } // namespace

@@ -17,16 +17,27 @@
 #
 # Requires: perf (linux-tools). Falls back to a plain flat report when
 # the kernel blocks call-graph sampling (perf_event_paranoid > 2).
+#
+# Without perf, use gprofng; it names each coroutine body by its
+# `[clone .actor]` frame:
+#   gprofng collect app -O run.er <bench-binary> [args...]
+#   gprofng display text -functions run.er
+# Do not use gprof (-pg) on coroutine code, even with -fno-ipa-icf:
+# it misattributes the actors. In a barrier-cell profile it reported
+# the barrier handler's actor, with UdmPort::dispose, UdmPort::read
+# and CondVar::notifyAll as children, as
+# `fugu::detail::concat<char const (&)[30], char const (&)[33]>`.
 
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 
 if ! command -v perf >/dev/null 2>&1; then
-    echo "error: perf not found (install linux-tools for this kernel)" >&2
+    echo "error: perf not found (install linux-tools for this kernel," \
+         "or use gprofng as the usage text shows)" >&2
     exit 1
 fi
 
