@@ -6,12 +6,9 @@
  *
  *  - schedule/fire  : chained one-shot scheduleFn lambdas with a
  *    realistic (~56-byte) capture, 64 in flight;
- *  - event/fire     : intrusive Event subclasses self-rescheduling
- *    from process(), the Cpu::spend shape;
- *  - schedule/cancel: scheduleFn followed by cancelFn via handles;
- *  - reschedule     : periodic-event reschedule churn, which also
- *    exercises stale-entry compaction (the seed kernel's heap grew by
- *    one dead entry per reschedule, forever).
+ *  - schedule/cancel: scheduleFn followed by cancelFn via handles,
+ *    which also exercises stale-entry compaction;
+ *  - packet path    : messages carried through the network model.
  *
  * Scale with engine.events (default 2,000,000 events per section;
  * `--set engine.events=200000` for a quick run). Writes
@@ -65,23 +62,6 @@ struct Chain
         next.pad[0] ^= *remaining; // keep the payload live
         eq->scheduleFn(next, eq->now() + 1, "chain");
     }
-};
-
-struct Periodic : Event
-{
-    Periodic() : Event("periodic") {}
-
-    void
-    process() override
-    {
-        if (*remaining == 0)
-            return;
-        --*remaining;
-        eq->schedule(this, eq->now() + 1);
-    }
-
-    EventQueue *eq = nullptr;
-    std::uint64_t *remaining = nullptr;
 };
 
 struct Section
@@ -162,23 +142,6 @@ benchPacketPath(std::uint64_t n)
 }
 
 Section
-benchEventFire(std::uint64_t n)
-{
-    EventQueue eq;
-    std::uint64_t remaining = n;
-    std::vector<Periodic> evs(64);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (auto &ev : evs) {
-        ev.eq = &eq;
-        ev.remaining = &remaining;
-        eq.schedule(&ev, eq.now() + 1);
-    }
-    eq.run();
-    const double s = seconds(t0);
-    return {"event_fire", n, s, n / s};
-}
-
-Section
 benchScheduleCancel(std::uint64_t n)
 {
     EventQueue eq;
@@ -198,24 +161,6 @@ benchScheduleCancel(std::uint64_t n)
     const double s = seconds(t0);
     const std::uint64_t pairs = rounds * kBatch;
     return {"schedule_cancel", pairs, s, pairs / s};
-}
-
-Section
-benchReschedule(std::uint64_t n)
-{
-    EventQueue eq;
-    std::uint64_t remaining = 0; // no self-rescheduling here
-    std::vector<Periodic> evs(16);
-    for (auto &ev : evs) {
-        ev.eq = &eq;
-        ev.remaining = &remaining;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < n; ++i)
-        eq.reschedule(&evs[i % evs.size()], i + 1);
-    eq.run();
-    const double s = seconds(t0);
-    return {"reschedule", n, s, n / s};
 }
 
 } // namespace
@@ -250,9 +195,7 @@ main(int argc, char **argv)
 
         const Section sections[] = {
             benchScheduleFire(n),
-            benchEventFire(n),
             benchScheduleCancel(n),
-            benchReschedule(n),
             benchPacketPath(n / 4),
         };
         for (const Section &s : sections) {

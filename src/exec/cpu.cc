@@ -202,13 +202,6 @@ Cpu::lowerIrq(unsigned line)
     pendingIrqs_ &= ~(1u << line);
 }
 
-bool
-Cpu::irqRaised(unsigned line) const
-{
-    fugu_assert(line < kNumIrqLines);
-    return pendingIrqs_ & (1u << line);
-}
-
 int
 Cpu::pendingIrqLine() const
 {

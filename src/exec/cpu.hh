@@ -90,7 +90,6 @@ class Cpu
 
     void raiseIrq(unsigned line);
     void lowerIrq(unsigned line);
-    bool irqRaised(unsigned line) const;
 
     /// @}
     /// @name Context management (kernel / runtime code)

@@ -19,8 +19,6 @@ bindConfig(sim::Binder &b, CheckConfig &c)
            "run the machine-wide invariant checker");
     b.item("fatal", c.fatal,
            "abort the run on the first invariant violation");
-    b.item("content", c.content,
-           "verify end-to-end payload checksums (transparency)");
     b.item("sweep_every", c.sweepEvery,
            "frame-conservation sweep period (0 = final check only)",
            "deliveries");
@@ -109,8 +107,7 @@ InvariantChecker::onInject(const net::Packet &pkt)
         return;
     const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
     pending_.emplace(pkt.seq,
-                     PendingMsg{cfg_.content ? checksum(pkt) : 0,
-                                sendIdx_[key]++});
+                     PendingMsg{checksum(pkt), sendIdx_[key]++});
     // Starvation clock: the GID now has traffic pending; if it had
     // none before, gaps measure from this inject, so idle tenants
     // accrue nothing.
@@ -158,7 +155,7 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
     if (it->second.orderIdx >= expect)
         expect = it->second.orderIdx + 1;
 
-    if (cfg_.content && it->second.checksum != checksum(pkt))
+    if (it->second.checksum != checksum(pkt))
         report(stats.contentViolations,
                detail::concat("seq ", pkt.seq, " payload changed between ",
                          "inject and consume (stream ", pkt.src, "->",

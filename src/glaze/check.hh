@@ -61,9 +61,6 @@ struct CheckConfig
     /** Treat any violation as fatal (abort the run). */
     bool fatal = false;
 
-    /** Verify payload checksums end to end (content transparency). */
-    bool content = true;
-
     /** Run a frame-conservation sweep every N deliveries (0 = only
      *  at finalChecks). */
     std::uint64_t sweepEvery = 64;

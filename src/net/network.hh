@@ -284,7 +284,9 @@ class Network
     EventQueue &eq_;
     NetworkConfig cfg_;
     std::string name_;
-    std::string arriveName_; // precomputed: scheduleFn is per-packet
+    // The arrival events' name. scheduleFn keeps the pointer, not a
+    // copy, so it lives in a member that outlasts every event.
+    std::string arriveName_;
     std::vector<NetSink *> sinks_;
 
     /** Per-destination queues of packets that finished traversal. */

@@ -8,40 +8,12 @@
 namespace fugu
 {
 
-Event::~Event()
-{
-    if (queue_ && slot_ != kNoEventSlot)
-        queue_->deschedule(this);
-}
-
 EventQueue::EventQueue() : ring_(kRingSize), ringHead_(kRingSize, 0) {}
-
-std::uint32_t
-EventQueue::allocSlot(Event *ev, bool owned)
-{
-    std::uint32_t idx;
-    if (freeSlotHead_ != kNoEventSlot) {
-        idx = freeSlotHead_;
-        freeSlotHead_ = slots_[idx].nextFree;
-    } else {
-        idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    SlotRec &s = slots_[idx];
-    s.event = ev;
-    s.owned = owned;
-    s.nextFree = kNoEventSlot;
-    return idx;
-}
 
 void
 EventQueue::freeSlot(std::uint32_t idx)
 {
-    SlotRec &s = slots_[idx];
-    s.event = nullptr;
-    s.owned = false;
-    ++s.gen; // invalidates every outstanding handle and queue entry
-    s.nextFree = freeSlotHead_;
+    slots_[idx].nextFree = freeSlotHead_;
     freeSlotHead_ = idx;
 }
 
@@ -112,115 +84,56 @@ EventQueue::heapRebuild()
         heapSiftDown(i);
 }
 
-void
-EventQueue::push(Event *ev, Cycle when, bool owned)
+std::uint32_t
+EventQueue::push(Cycle when, const char *name)
 {
-    fugu_assert(when >= now_, "event '", ev->name(),
+    fugu_assert(when >= now_, "event '", name,
                 "' scheduled in the past (", when, " < ", now_, ")");
-    ev->when_ = when;
-    ev->queue_ = this;
-    std::uint32_t idx = allocSlot(ev, owned);
-    ev->slot_ = idx;
+    std::uint32_t idx = freeSlotHead_;
+    if (idx != kNoEventSlot) {
+        freeSlotHead_ = slots_[idx].nextFree;
+    } else {
+        idx = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    SlotRec &s = slots_[idx];
+    s.node->name = name;
     ++live_;
     // ringBase_ <= now_ <= when always holds, so a window hit only
     // needs the upper bound. Bucket FIFO order is schedule order.
-    if (when < ringBase_ + kRingSize) {
+    s.inRing = when < ringBase_ + kRingSize;
+    if (s.inRing) {
         const std::uint32_t b = when & (kRingSize - 1);
         occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-        ring_[b].push_back(BucketEntry{idx, slots_[idx].gen});
-        slots_[idx].inRing = true;
+        ring_[b].push_back(BucketEntry{idx, s.gen});
         ++ringCount_;
     } else {
-        heapPush(HeapEntry{when, nextSeq_++, idx, slots_[idx].gen});
-        slots_[idx].inRing = false;
+        heapPush(HeapEntry{when, nextSeq_++, idx, s.gen});
     }
-}
-
-void
-EventQueue::schedule(Event *ev, Cycle when)
-{
-    fugu_assert(!ev->scheduled(), "event '", ev->name(),
-                "' scheduled twice");
-    push(ev, when, false);
-}
-
-void
-EventQueue::reschedule(Event *ev, Cycle when)
-{
-    if (ev->scheduled())
-        deschedule(ev);
-    push(ev, when, false);
-}
-
-void
-EventQueue::deschedule(Event *ev)
-{
-    if (ev->slot_ == kNoEventSlot)
-        return;
-    const bool inRing = slots_[ev->slot_].inRing;
-    freeSlot(ev->slot_);
-    ev->slot_ = kNoEventSlot;
-    fugu_assert(live_ > 0);
-    --live_;
-    if (inRing) {
-        ++ringStale_;
-        ringSweepIfNeeded();
-    } else {
-        ++stale_;
-        compactIfNeeded();
-    }
+    return idx;
 }
 
 void
 EventQueue::cancelFn(const EventHandle &handle)
 {
-    if (handle.slot >= slots_.size())
-        return;
-    SlotRec &s = slots_[handle.slot];
-    if (s.gen != handle.gen || !s.event)
+    if (handle.slot >= slots_.size() ||
+        slots_[handle.slot].gen != handle.gen)
         return; // fired, cancelled, or slot since reused
-    Event *ev = s.event;
-    const bool owned = s.owned;
-    const bool inRing = s.inRing;
-    freeSlot(handle.slot);
-    ev->slot_ = kNoEventSlot;
+    SlotRec &s = slots_[handle.slot];
+    ++s.gen; // the queued entry goes stale
     fugu_assert(live_ > 0);
     --live_;
-    if (owned)
-        releaseLambda(static_cast<LambdaEvent *>(ev));
-    if (inRing) {
+    if (s.inRing) {
         ++ringStale_;
         ringSweepIfNeeded();
     } else {
         ++stale_;
         compactIfNeeded();
     }
-}
-
-LambdaEvent *
-EventQueue::acquireLambda(const char *name)
-{
-    if (lambdaFree_.empty()) {
-        lambdaStore_.push_back(std::make_unique<LambdaEvent>(name));
-        lambdaStore_.back()->namePtr_ = name;
-        return lambdaStore_.back().get();
-    }
-    LambdaEvent *ev = lambdaFree_.back();
-    lambdaFree_.pop_back();
-    // Names are almost always literals; pointer identity makes the
-    // common reuse-with-same-name case free.
-    if (ev->namePtr_ != name) {
-        ev->name_ = name; // reuses the string's existing capacity
-        ev->namePtr_ = name;
-    }
-    return ev;
-}
-
-void
-EventQueue::releaseLambda(LambdaEvent *ev)
-{
-    ev->fn_.reset(); // drop captures promptly
-    lambdaFree_.push_back(ev);
+    // Drop the captures before freeing the slot: a capture's
+    // destructor that schedules must not be handed this node.
+    s.node->fn.reset();
+    freeSlot(handle.slot);
 }
 
 void
@@ -249,8 +162,8 @@ EventQueue::compactIfNeeded()
 void
 EventQueue::ringSweepIfNeeded()
 {
-    // Ring analogue of compactIfNeeded: without it, reschedule churn
-    // on near-future events would grow bucket vectors without bound.
+    // Ring analogue of compactIfNeeded: without it, cancel churn on
+    // near-future events would grow bucket vectors without bound.
     if (ringStale_ < 64 || ringStale_ * 2 < ringCount_)
         return;
     for (unsigned w = 0; w < kOccWords; ++w) {
@@ -356,23 +269,14 @@ EventQueue::migrateWindow()
 void
 EventQueue::fireSlot(std::uint32_t idx)
 {
-    SlotRec &s = slots_[idx];
-    Event *ev = s.event;
-    const bool owned = s.owned;
-    // Unschedule before processing so process() may reschedule the
-    // same event (the freed slot may be reused immediately).
-    freeSlot(idx);
-    ev->slot_ = kNoEventSlot;
+    // Retire the slot before the callable runs, so cancelling its own
+    // handle is a no-op; free it only after the callable returns,
+    // because the callable runs out of the node's buffer.
+    Node &node = *slots_[idx].node;
+    ++slots_[idx].gen;
     --live_;
-    if (owned) {
-        // Pooled one-shot: skip the virtual call, fire-and-destroy
-        // the callable in one indirect call, recycle the event.
-        auto *le = static_cast<LambdaEvent *>(ev);
-        le->fn_.fireAndReset();
-        lambdaFree_.push_back(le);
-    } else {
-        ev->process();
-    }
+    node.fn.fireAndReset();
+    freeSlot(idx);
 }
 
 void
@@ -417,40 +321,8 @@ EventQueue::run(Cycle until, std::uint64_t max_events)
                 now_ = until;
             return n;
         }
-        if (!nx.fromRing) {
-            fireNext(nx);
-            ++n;
-            continue;
-        }
-        // Batched drain: fire every live entry at this cycle with one
-        // bucket touch instead of re-scanning the occupancy bitmap per
-        // event. ringHead_/size are re-read every iteration: firing an
-        // event may append same-cycle entries to this bucket, and a
-        // re-entrant ring sweep (a deschedule inside an event) may
-        // compact it and reset ringHead_. The vector object itself is
-        // stable — ring_ never resizes.
-        const std::uint32_t b = nx.bucket;
-        now_ = nx.when;
-        std::vector<BucketEntry> &bucket = ring_[b];
-        for (;;) {
-            const std::uint32_t h = ringHead_[b];
-            if (h >= bucket.size())
-                break;
-            const BucketEntry e = bucket[h];
-            ringHead_[b] = h + 1;
-            --ringCount_;
-            if (slots_[e.slot].gen != e.gen) {
-                fugu_assert(ringStale_ > 0);
-                --ringStale_;
-                continue;
-            }
-            fireSlot(e.slot);
-            if (++n >= max_events)
-                return n; // consumed prefix is dropped by findNext
-        }
-        bucket.clear();
-        ringHead_[b] = 0;
-        occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        fireNext(nx);
+        ++n;
     }
     // Cut short by max_events: the clock stays at the last event.
     return n;

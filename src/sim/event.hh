@@ -1,10 +1,11 @@
 /**
  * @file
- * Discrete-event simulation kernel: Event and EventQueue.
+ * Discrete-event simulation kernel: EventQueue.
  *
- * Events fire in (cycle, insertion sequence) order, so events at the
- * same cycle fire in schedule order, which makes runs fully
- * deterministic. The queue is a two-band calendar queue:
+ * Every event is a one-shot callable scheduled with scheduleFn. Events
+ * fire in (cycle, insertion sequence) order, so events at the same
+ * cycle fire in schedule order, which makes runs fully deterministic.
+ * The queue is a two-band calendar queue:
  *
  *  - Near band: a ring of kRingSize per-cycle FIFO buckets covering
  *    [ringBase, ringBase + kRingSize) with a two-level occupancy
@@ -16,17 +17,16 @@
  *    (cycle, seq) order, which keeps firing order identical to a
  *    single global priority queue.
  *
- * Cancellation is lazy: descheduling frees the event's slot in a
+ * Cancellation is lazy: cancelFn retires the event's slot in a
  * generation-counted slot pool and the stale ring/heap entry is
  * skipped when reached — or swept out wholesale when stale entries
  * start to dominate, so memory stays proportional to live events even
- * under unbounded reschedule churn. An Event may be destroyed while
- * scheduled; its destructor deschedules it safely.
+ * under unbounded cancel-and-replace churn.
  *
- * The scheduling fast path is allocation-free in steady state:
- * one-shot callables (scheduleFn) are stored inline in pooled
- * LambdaEvents, and cancellation handles are plain {slot, generation}
- * pairs instead of shared_ptr control blocks.
+ * The scheduling fast path is allocation-free in steady state: each
+ * slot owns a node holding the callable inline for the queue's life,
+ * and cancellation handles are plain {slot, generation} pairs instead
+ * of shared_ptr control blocks.
  */
 
 #ifndef FUGU_SIM_EVENT_HH
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,41 +45,8 @@
 namespace fugu
 {
 
-class EventQueue;
-
-/** Sentinel slot index meaning "not scheduled". */
+/** Sentinel slot index: an inert handle, or the free list's end. */
 inline constexpr std::uint32_t kNoEventSlot = 0xffffffffu;
-
-/**
- * An occurrence scheduled at a future cycle. Subclass and implement
- * process(), or use EventQueue::scheduleFn for one-shot lambdas.
- */
-class Event
-{
-  public:
-    explicit Event(std::string name) : name_(std::move(name)) {}
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Invoked when the scheduled cycle is reached. */
-    virtual void process() = 0;
-
-    const std::string &name() const { return name_; }
-    bool scheduled() const { return slot_ != kNoEventSlot; }
-
-    /** Cycle this event will fire at. Only valid while scheduled. */
-    Cycle when() const { return when_; }
-
-  private:
-    friend class EventQueue;
-
-    std::string name_;
-    Cycle when_ = 0;
-    std::uint32_t slot_ = kNoEventSlot; // index into queue's slot pool
-    EventQueue *queue_ = nullptr;
-};
 
 /**
  * Handle to a scheduleFn occurrence; pass to EventQueue::cancelFn.
@@ -122,7 +88,6 @@ class SmallFn
                       "callable too large for SmallFn's inline buffer");
         reset();
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
         destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
         fire_ = [](void *p) {
             Fn *f = static_cast<Fn *>(p);
@@ -131,20 +96,17 @@ class SmallFn
         };
     }
 
-    void operator()() { invoke_(buf_); }
-
     /**
      * Invoke the callable and destroy it, leaving the object empty —
      * the one-shot fire path, a single indirect call. The callable
      * still occupies buf_ while running: the owner must not reuse
-     * this SmallFn until the call returns (the event pool releases
-     * the event only afterwards).
+     * this SmallFn until the call returns (the queue frees the slot
+     * only afterwards).
      */
     void
     fireAndReset()
     {
         auto fire = fire_;
-        invoke_ = nullptr;
         destroy_ = nullptr;
         fire_ = nullptr;
         fire(buf_);
@@ -155,43 +117,14 @@ class SmallFn
     {
         if (destroy_)
             destroy_(buf_);
-        invoke_ = nullptr;
         destroy_ = nullptr;
         fire_ = nullptr;
     }
 
-    explicit operator bool() const { return invoke_ != nullptr; }
-
   private:
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-    void (*invoke_)(void *) = nullptr;
     void (*destroy_)(void *) = nullptr;
     void (*fire_)(void *) = nullptr;
-};
-
-/**
- * Convenience event wrapping a callable; used by scheduleFn. The
- * queue keeps fired LambdaEvents on a freelist and reuses them, so
- * steady-state scheduleFn traffic does not allocate.
- */
-class LambdaEvent : public Event
-{
-  public:
-    explicit LambdaEvent(std::string name) : Event(std::move(name)) {}
-
-    template <typename F>
-    LambdaEvent(std::string name, F &&fn) : Event(std::move(name))
-    {
-        fn_.assign(std::forward<F>(fn));
-    }
-
-    void process() override { fn_(); }
-
-  private:
-    friend class EventQueue;
-
-    SmallFn fn_;
-    const char *namePtr_ = nullptr; // last name set (pointer identity)
 };
 
 /**
@@ -210,29 +143,18 @@ class EventQueue
     Cycle now() const { return now_; }
 
     /**
-     * Schedule @p ev to fire at cycle @p when (>= now). The event must
-     * not already be scheduled; use reschedule for that.
-     */
-    void schedule(Event *ev, Cycle when);
-
-    /** Move an already (or not) scheduled event to a new cycle. */
-    void reschedule(Event *ev, Cycle when);
-
-    /** Cancel a pending event. No-op if not scheduled. */
-    void deschedule(Event *ev);
-
-    /**
-     * Schedule a one-shot callable on a pooled LambdaEvent.
+     * Schedule the one-shot callable @p fn to fire at cycle @p when
+     * (>= now). The queue stores the @p name pointer, not a copy, so
+     * the string must outlive the event.
      * @return handle that can be passed to cancelFn.
      */
     template <typename F>
     EventHandle
     scheduleFn(F &&fn, Cycle when, const char *name = "lambda")
     {
-        LambdaEvent *ev = acquireLambda(name);
-        ev->fn_.assign(std::forward<F>(fn));
-        push(ev, when, /*owned=*/true);
-        return EventHandle{ev->slot_, slots_[ev->slot_].gen};
+        const std::uint32_t idx = push(when, name);
+        slots_[idx].node->fn.assign(std::forward<F>(fn));
+        return EventHandle{idx, slots_[idx].gen};
     }
 
     /** Cancel a scheduleFn event via its handle. No-op if fired. */
@@ -267,12 +189,22 @@ class EventQueue
     static constexpr unsigned kRingSize = 1u << kRingBits;
     static constexpr unsigned kOccWords = kRingSize / 64;
 
+    /**
+     * A slot's callable and name, allocated with the slot and kept
+     * for the queue's life. A firing callable runs out of its node's
+     * buffer and may grow slots_ by scheduling, so nodes never move.
+     */
+    struct Node
+    {
+        SmallFn fn;
+        const char *name = nullptr;
+    };
+
     struct SlotRec
     {
-        Event *event = nullptr;
-        std::uint32_t gen = 1;   // advanced on every free
+        std::unique_ptr<Node> node = std::make_unique<Node>();
+        std::uint32_t gen = 1;   // advanced on fire and on cancel
         std::uint32_t nextFree = kNoEventSlot;
-        bool owned = false;      // queue owns the Event (scheduleFn)
         bool inRing = false;     // entry lives in a ring bucket
     };
 
@@ -322,8 +254,10 @@ class EventQueue
         return slots_[e.slot].gen == e.gen;
     }
 
-    void push(Event *ev, Cycle when, bool owned);
-    std::uint32_t allocSlot(Event *ev, bool owned);
+    /** Claim a slot for an event at @p when and queue it. */
+    std::uint32_t push(Cycle when, const char *name);
+
+    /** Put a retired slot back on the free list. */
     void freeSlot(std::uint32_t idx);
 
     /**
@@ -335,7 +269,7 @@ class EventQueue
     /** Pop and process the event located by findNext(). */
     void fireNext(const NextEvent &nx);
 
-    /** Unschedule slot @p idx and run its event. */
+    /** Retire slot @p idx, run its callable, then free the slot. */
     void fireSlot(std::uint32_t idx);
 
     /**
@@ -344,15 +278,12 @@ class EventQueue
      */
     void migrateWindow();
 
-    /** Pop stale (cancelled/rescheduled) entries off the heap top. */
+    /** Pop stale (cancelled) entries off the heap top. */
     void skipStale();
 
     /** Sweep dead entries when they dominate live ones. */
     void compactIfNeeded();
     void ringSweepIfNeeded();
-
-    LambdaEvent *acquireLambda(const char *name);
-    void releaseLambda(LambdaEvent *ev);
 
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -369,10 +300,6 @@ class EventQueue
     std::uint64_t occ_[kOccWords] = {};   // non-empty-bucket bitmap
 
     std::vector<HeapEntry> heap_;
-    // Declared after slots_/ring_/heap_ so pooled events (whose
-    // destructors deschedule) are destroyed first at queue teardown.
-    std::vector<std::unique_ptr<LambdaEvent>> lambdaStore_;
-    std::vector<LambdaEvent *> lambdaFree_;
 };
 
 } // namespace fugu

@@ -1,9 +1,10 @@
 /**
  * @file
  * Allocation tests for the event kernel: after warm-up, the
- * schedule/fire, schedule/cancel and reschedule hot paths must not
- * touch the global heap at all — pooled LambdaEvents, inline SmallFn
- * storage, and recycled slot/bucket/heap capacity cover steady state.
+ * schedule/fire, schedule/cancel and cancel-and-replace hot paths must
+ * not touch the global heap at all — per-slot nodes with inline
+ * SmallFn storage, and recycled slot/bucket/heap capacity cover
+ * steady state.
  *
  * The global operator new/delete are replaced with counting versions;
  * each test warms the queue up (growing pools and vector capacity),
@@ -174,29 +175,30 @@ TEST(EventAllocTest, ScheduleCancelSteadyStateIsAllocationFree)
 
 TEST(EventAllocTest, RescheduleChurnSteadyStateIsAllocationFree)
 {
-    struct Nop : Event
-    {
-        Nop() : Event("nop") {}
-        void process() override {}
-    };
-
     EventQueue eq;
-    std::vector<Nop> evs(16);
-    // Warm-up: drives both the near band (small deltas) and the far
-    // band (large deltas), triggering sweeps of each.
-    for (std::uint64_t i = 0; i < 20000; ++i)
-        eq.reschedule(&evs[i % evs.size()],
-                      eq.now() + 1 + i % 3000);
+    std::vector<EventHandle> handles(16);
+    int sink = 0;
+    // Cancel and replace each handle in turn. Deltas up to 3000
+    // drive both the near band and the far band, triggering sweeps
+    // of each.
+    auto churn = [&] {
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+            EventHandle &h = handles[i % handles.size()];
+            eq.cancelFn(h);
+            h = eq.scheduleFn([&sink] { ++sink; },
+                              eq.now() + 1 + i % 3000, "churn");
+        }
+    };
+    churn(); // warm-up
     const std::uint64_t before = g_newCalls.load();
-    for (std::uint64_t i = 0; i < 20000; ++i)
-        eq.reschedule(&evs[i % evs.size()],
-                      eq.now() + 1 + i % 3000);
+    churn();
     EXPECT_EQ(g_newCalls.load(), before)
-        << "reschedule steady state allocated";
-    for (auto &ev : evs)
-        eq.deschedule(&ev);
+        << "cancel-and-replace steady state allocated";
+    for (const EventHandle &h : handles)
+        eq.cancelFn(h);
     eq.run();
     EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(sink, 0);
 }
 
 } // namespace

@@ -44,12 +44,21 @@ std::string
 paramName(const ::testing::TestParamInfo<StormParams> &info)
 {
     const StormParams &p = info.param;
-    return "n" + std::to_string(p.nodes) + "_m" +
-           std::to_string(p.messagesPerNode) + "_skew" +
-           std::to_string(int(p.skew * 100)) + "_q" +
-           std::to_string(p.quantum) + "_to" +
-           std::to_string(p.atomicityTimeout) + "_s" +
-           std::to_string(p.seed);
+    // Built with += only: operator+ on a literal and a std::string
+    // trips gcc 12's -Wrestrict false positive in a Release build.
+    std::string name = "n";
+    name += std::to_string(p.nodes);
+    name += "_m";
+    name += std::to_string(p.messagesPerNode);
+    name += "_skew";
+    name += std::to_string(int(p.skew * 100));
+    name += "_q";
+    name += std::to_string(p.quantum);
+    name += "_to";
+    name += std::to_string(p.atomicityTimeout);
+    name += "_s";
+    name += std::to_string(p.seed);
+    return name;
 }
 
 struct StormState
