@@ -117,13 +117,6 @@ struct CostModel
         return perSendArgWord * words;
     }
 
-    /** Buffered-path per-word extraction cost (4.5 cycles/word). */
-    Cycle
-    bufferArgCost(unsigned words) const
-    {
-        return (perBufferWordX2 * words) / 2;
-    }
-
     /** Timer setup cost for the receive stub in @p mode. */
     Cycle
     timerSetup(AtomicityMode mode) const

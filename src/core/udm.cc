@@ -100,9 +100,8 @@ UdmPort::headPayloadWords() const
 UdmPort::ReadAwaiter
 UdmPort::read(unsigned idx)
 {
-    // Buffered: the backend-dependent drain cost (half-cycle
-    // granularity, same integer floor per word as
-    // CostModel::bufferArgCost).
+    // Buffered: the backend-dependent per-word drain cost, kept in
+    // half cycles and floored to whole cycles for each word read.
     const Cycle cost = buffered_ ? bufCosts_.perWordX2 / 2
                                  : costs_.receiveArgCost(1);
     return {cpu_.spend(cost), this, idx};

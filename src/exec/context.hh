@@ -6,6 +6,8 @@
  * are all Contexts. A Context wraps a top-level Task coroutine plus the
  * bookkeeping the Cpu needs to preempt it in the middle of a cycle
  * spend ("freeze") and later resume it with the leftover cycles intact.
+ * An rt thread is a Context whose owner is the rt::Scheduler that
+ * queues it by priority.
  */
 
 #ifndef FUGU_EXEC_CONTEXT_HH
@@ -18,6 +20,11 @@
 
 #include "exec/task.hh"
 #include "sim/types.hh"
+
+namespace fugu::rt
+{
+class Scheduler;
+} // namespace fugu::rt
 
 namespace fugu::exec
 {
@@ -33,8 +40,7 @@ enum class CtxState
     Unstarted, ///< created, never dispatched
     Active,    ///< logically executing on the Cpu (incl. inside spend)
     Frozen,    ///< preempted mid-spend; `remaining` cycles still owed
-    Ready,     ///< suspended at a yield point, eligible for dispatch
-    Blocked,   ///< waiting for an explicit wake()
+    Blocked,   ///< suspended until switched to again
     Finished,  ///< top-level coroutine ran to completion
 };
 
@@ -58,15 +64,11 @@ class Context : public std::enable_shared_from_this<Context>
     CtxState state() const { return state_; }
     bool finished() const { return state_ == CtxState::Finished; }
 
-    /** Cycles still owed from a preempted spend (Frozen only). */
-    Cycle remaining() const { return remaining_; }
-
     /**
      * Context to resume when this one finishes (set for interrupt and
      * trap handlers). A handler that wants to divert control (e.g., a
      * scheduler quantum switch) takes it with takeReturnTo().
      */
-    ContextPtr returnTo() const { return returnTo_; }
     ContextPtr
     takeReturnTo()
     {
@@ -74,11 +76,18 @@ class Context : public std::enable_shared_from_this<Context>
     }
     void setReturnTo(ContextPtr c) { returnTo_ = std::move(c); }
 
-    /** Scratch value a trap handler hands back to the trapping code. */
-    std::uint64_t trapResult = 0;
-
     /** Argument passed along with a trap. */
     std::uint64_t trapArg = 0;
+
+    /**
+     * The rt::Scheduler whose thread this is, or null for interrupt,
+     * trap and upcall contexts. Set by the rt layer; exec only stores
+     * it.
+     */
+    rt::Scheduler *owner = nullptr;
+
+    /** Thread priority within the owner's ready queue. */
+    int priority = 0;
 
   private:
     friend class Cpu;
@@ -100,8 +109,8 @@ class Context : public std::enable_shared_from_this<Context>
     /**
      * Intrusive membership in the owning Cpu's context registry, so
      * Cpu teardown can destroy the coroutine frames of contexts still
-     * suspended (frames may hold ContextPtr/ThreadPtr locals forming
-     * shared_ptr cycles that would otherwise never be released).
+     * suspended (frames may hold ContextPtr locals forming shared_ptr
+     * cycles that would otherwise never be released).
      */
     Context *ctxPrev_ = nullptr;
     Context *ctxNext_ = nullptr;

@@ -12,7 +12,6 @@ toString(CtxState s)
       case CtxState::Unstarted: return "Unstarted";
       case CtxState::Active: return "Active";
       case CtxState::Frozen: return "Frozen";
-      case CtxState::Ready: return "Ready";
       case CtxState::Blocked: return "Blocked";
       case CtxState::Finished: return "Finished";
     }
@@ -243,14 +242,6 @@ Cpu::switchTo(ContextPtr ctx)
 }
 
 void
-Cpu::wake(const ContextPtr &ctx)
-{
-    fugu_assert(ctx->state_ == CtxState::Blocked, "wake('", ctx->name(),
-                "') in state ", toString(ctx->state_));
-    ctx->state_ = CtxState::Ready;
-}
-
-void
 Cpu::requestDispatch()
 {
     if (current_ || dispatchPending_)
@@ -297,19 +288,6 @@ Cpu::onBlockSuspend(std::coroutine_handle<> h)
 }
 
 void
-Cpu::onYieldSuspend(std::coroutine_handle<> h, ContextPtr next,
-                    bool block_self)
-{
-    fugu_assert(current_, "yieldTo() outside any context");
-    fugu_assert(next && next.get() != current_.get(),
-                "yieldTo self or null");
-    ContextPtr ctx = std::move(current_);
-    ctx->resumePoint_ = h;
-    ctx->state_ = block_self ? CtxState::Blocked : CtxState::Ready;
-    switchTo(std::move(next));
-}
-
-ContextPtr
 Cpu::onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
                    std::uint64_t arg)
 {
@@ -324,9 +302,8 @@ Cpu::onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
     ContextPtr handler =
         spawn("trap" + std::to_string(vec), /*kernel=*/true,
               trapHandlers_[vec](victim));
-    handler->setReturnTo(victim);
+    handler->setReturnTo(std::move(victim));
     resumeContext(handler);
-    return victim;
 }
 
 // ---------------------------------------------------------------------
@@ -394,7 +371,6 @@ Cpu::resumeContext(const ContextPtr &ctx)
         current_ = ctx;
         scheduleResume(ctx->task_.handle(), 0, "ctx-start");
         break;
-      case CtxState::Ready:
       case CtxState::Blocked:
         ctx->state_ = CtxState::Active;
         current_ = ctx;
@@ -513,15 +489,6 @@ Cpu::cancelUserTimer()
     eq_.cancelFn(timer_.ev);
     timer_.active = false;
     timer_.cb = nullptr;
-}
-
-Cycle
-Cpu::userTimerRemaining() const
-{
-    if (!timer_.active)
-        return 0;
-    Cycle uc = userCycles();
-    return timer_.deadline > uc ? timer_.deadline - uc : 0;
 }
 
 void

@@ -100,14 +100,12 @@ class Cpu
 
     /**
      * Make @p ctx the current context. The Cpu must be idle (no
-     * current context). Valid for Unstarted, Ready, Frozen, and
-     * Blocked contexts (resuming a Blocked context is how trap/upcall
-     * return paths work; run-queue state is the caller's business).
+     * current context). Valid for Unstarted, Frozen, and Blocked
+     * contexts (resuming a Blocked context is how trap/upcall return
+     * paths and thread wakeups work; run-queue state is the caller's
+     * business).
      */
     void switchTo(ContextPtr ctx);
-
-    /** Mark a Blocked context Ready (bookkeeping only; no dispatch). */
-    void wake(const ContextPtr &ctx);
 
     /** If the Cpu is idle, arrange for a dispatch decision at `now`. */
     void requestDispatch();
@@ -151,44 +149,18 @@ class Cpu
     /** Suspend the current context until it is switched to again. */
     BlockAwaiter block() { return {this}; }
 
-    struct YieldAwaiter
-    {
-        Cpu *cpu;
-        ContextPtr next;
-        bool blockSelf;
-        bool await_ready() const noexcept { return false; }
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            cpu->onYieldSuspend(h, std::move(next), blockSelf);
-        }
-        void await_resume() const noexcept {}
-    };
-
-    /**
-     * Switch directly to @p next, leaving the current context Ready
-     * (or Blocked when @p block_self).
-     */
-    YieldAwaiter
-    yieldTo(ContextPtr next, bool block_self = false)
-    {
-        return {this, std::move(next), block_self};
-    }
-
     struct TrapAwaiter
     {
         Cpu *cpu;
         unsigned vec;
         std::uint64_t arg;
-        ContextPtr victim;
         bool await_ready() const noexcept { return false; }
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            victim = cpu->onTrapSuspend(h, vec, arg);
+            cpu->onTrapSuspend(h, vec, arg);
         }
-        /** @return the trap handler's result value. */
-        std::uint64_t await_resume() noexcept { return victim->trapResult; }
+        void await_resume() const noexcept {}
     };
 
     /**
@@ -199,7 +171,7 @@ class Cpu
      */
     TrapAwaiter trap(unsigned vec, std::uint64_t arg = 0)
     {
-        return {this, vec, arg, nullptr};
+        return {this, vec, arg};
     }
 
     /// @}
@@ -213,8 +185,6 @@ class Cpu
      */
     void setUserTimer(Cycle user_cycles, std::function<void()> cb);
     void cancelUserTimer();
-    bool userTimerActive() const { return timer_.active; }
-    Cycle userTimerRemaining() const;
 
     /// @}
 
@@ -243,10 +213,8 @@ class Cpu
     /// @{
     bool onSpendSuspend(Cycle n, std::coroutine_handle<> h);
     void onBlockSuspend(std::coroutine_handle<> h);
-    void onYieldSuspend(std::coroutine_handle<> h, ContextPtr next,
-                        bool block_self);
-    ContextPtr onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
-                             std::uint64_t arg);
+    void onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
+                       std::uint64_t arg);
     /// @}
 
     /**
@@ -282,7 +250,7 @@ class Cpu
 
     /**
      * Destroy the coroutine frames of every context still suspended,
-     * releasing the ContextPtr/ThreadPtr locals they hold (which may
+     * releasing the ContextPtr locals they hold (which may
      * form reference cycles). Runs from the destructor; nothing may
      * execute on this Cpu afterwards.
      */

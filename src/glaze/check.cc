@@ -133,7 +133,7 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
                detail::concat("packet for node ", pkt.dst,
                          " consumed on node ", node));
 
-    noteService(gids_[pkt.gid], pkt.gid, m_.now(), buffered_path);
+    noteService(gids_[pkt.gid], pkt.gid, m_.now());
 
     auto it = pending_.find(pkt.seq);
     if (it == pending_.end()) {
@@ -228,8 +228,7 @@ InvariantChecker::onDispatch(Process &p, bool buffered_path)
 }
 
 void
-InvariantChecker::noteService(GidState &g, Gid gid, Cycle now,
-                              bool buffered_path)
+InvariantChecker::noteService(GidState &g, Gid gid, Cycle now)
 {
     // Starvation watermark: how long this GID's oldest pending
     // message had been waiting when service finally arrived. Measured
@@ -256,11 +255,6 @@ InvariantChecker::noteService(GidState &g, Gid gid, Cycle now,
             g.pendingSince = 0;
     }
     g.lastService = now;
-    // Victim-side divert attribution: which path served this tenant.
-    if (buffered_path)
-        ++g.iso.buffered;
-    else
-        ++g.iso.direct;
 }
 
 InvariantChecker::GidIsolation

@@ -120,9 +120,6 @@ class InvariantChecker final : public net::PacketWatcher
     {
         /** Watermark: longest wait of pending traffic for service. */
         Cycle serviceGapMax = 0;
-        /** Victim-side divert attribution: deliveries per path. */
-        std::uint64_t direct = 0;
-        std::uint64_t buffered = 0;
         /** Watermark: most frames this GID held on any one node. */
         unsigned framePeak = 0;
         /** Watermark: largest fraction of one node's frame pool. */
@@ -182,8 +179,7 @@ class InvariantChecker final : public net::PacketWatcher
         std::uint64_t pending = 0;
     };
 
-    void noteService(GidState &g, Gid gid, Cycle now,
-                     bool buffered_path);
+    void noteService(GidState &g, Gid gid, Cycle now);
 
     Machine &m_;
     CheckConfig cfg_;

@@ -118,7 +118,7 @@ class Process : public core::PortObserver
     bool savedCtxUrgent = false;
 
     /** The live message-handling (drain) thread, if any. */
-    rt::ThreadPtr drainThread;
+    exec::ContextPtr drainThread;
 
     /**
      * Application-owned state (e.g. a CRL instance) that must outlive

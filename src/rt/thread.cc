@@ -10,20 +10,19 @@ Scheduler::Scheduler(exec::Cpu &cpu, const core::CostModel &costs)
 {
 }
 
-ThreadPtr
+exec::ContextPtr
 Scheduler::spawn(std::string name, int priority, exec::Task body)
 {
-    auto ctx = cpu_.spawn(name, /*kernel=*/false, std::move(body));
-    auto t = std::make_shared<Thread>(std::move(name), priority, ctx);
-    byCtx_[ctx.get()] = t;
-    ++live_;
+    auto t = cpu_.spawn(std::move(name), /*kernel=*/false, std::move(body));
+    t->owner = this;
+    t->priority = priority;
     enqueue(t);
     cpu_.requestDispatch();
     return t;
 }
 
 void
-Scheduler::enqueue(const ThreadPtr &t)
+Scheduler::enqueue(const exec::ContextPtr &t)
 {
     if (t->finished())
         return;
@@ -32,36 +31,18 @@ Scheduler::enqueue(const ThreadPtr &t)
     // must not merge, or one is lost. A stale duplicate merely causes
     // a spurious wakeup, and every wait in the system is
     // predicate-looped.
-    t->queued_ = true;
-    ready_.push(QueueEntry{t->priority(), nextSeq_++, t});
-}
-
-void
-Scheduler::noteFinished()
-{
-    // Sweep finished threads out of the context map lazily.
-    for (auto it = byCtx_.begin(); it != byCtx_.end();) {
-        if (it->second->finished()) {
-            --live_;
-            it = byCtx_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    ready_.push(QueueEntry{t->priority, nextSeq_++, t});
 }
 
 exec::ContextPtr
 Scheduler::pickNext()
 {
     while (!ready_.empty()) {
-        ThreadPtr t = ready_.top().t;
+        exec::ContextPtr t = ready_.top().t;
         ready_.pop();
-        t->queued_ = false;
-        if (t->finished())
-            continue;
-        return t->ctx();
+        if (!t->finished())
+            return t;
     }
-    noteFinished();
     return nullptr;
 }
 
@@ -75,26 +56,24 @@ Scheduler::hasRunnable() const
     return !ready_.top().t->finished() || ready_.size() > 1;
 }
 
-ThreadPtr
+exec::ContextPtr
 Scheduler::current() const
 {
-    const auto &ctx = cpu_.current();
-    if (!ctx)
-        return nullptr;
-    return threadOf(ctx);
+    return threadOf(cpu_.current());
 }
 
-ThreadPtr
+exec::ContextPtr
 Scheduler::threadOf(const exec::ContextPtr &ctx) const
 {
-    auto it = byCtx_.find(ctx.get());
-    return it == byCtx_.end() ? nullptr : it->second;
+    // Compare the owner, not just "is a thread": every process on a
+    // node has its own Scheduler over the node's Cpu.
+    return ctx && ctx->owner == this ? ctx : nullptr;
 }
 
 exec::CoTask<void>
 Scheduler::yield()
 {
-    ThreadPtr self = current();
+    exec::ContextPtr self = current();
     fugu_assert(self, "yield() from a non-thread context");
     co_await cpu_.spend(costs_.threadSwitch);
     enqueue(self);
@@ -110,7 +89,7 @@ Scheduler::blockCurrent()
 }
 
 void
-Scheduler::makeReady(const ThreadPtr &t)
+Scheduler::makeReady(const exec::ContextPtr &t)
 {
     enqueue(t);
     cpu_.requestDispatch();
@@ -119,7 +98,7 @@ Scheduler::makeReady(const ThreadPtr &t)
 exec::CoTask<void>
 CondVar::wait()
 {
-    ThreadPtr self = sched_.current();
+    exec::ContextPtr self = sched_.current();
     fugu_assert(self, "CondVar::wait() from a non-thread context "
                       "(message handlers must not block)");
     waiters_.push_back(std::move(self));
@@ -131,7 +110,7 @@ CondVar::notifyOne()
 {
     if (waiters_.empty())
         return;
-    ThreadPtr t = std::move(waiters_.front());
+    exec::ContextPtr t = std::move(waiters_.front());
     waiters_.pop_front();
     sched_.makeReady(t);
 }

@@ -3,22 +3,22 @@
  * User-level threads (Section 3: "UDM assumes an execution model in
  * which one or more threads run on each processor").
  *
- * A Scheduler multiplexes an application's threads over its node's
- * Cpu. It is passive: the OS's idle hook asks it to pickNext() when
- * the Cpu has nothing to run. Buffered-mode atomicity is emulated by
- * priority: the message-handling (drain) thread runs at high priority
- * so handlers are atomic with respect to other application threads,
- * exactly as Section 4.2 describes.
+ * A thread is a user exec::Context whose owner is the Scheduler that
+ * queues it by priority. A Scheduler multiplexes one process's threads
+ * over its node's Cpu (each process on a node has its own). It is
+ * passive: the OS's idle hook asks it to pickNext() when the Cpu has
+ * nothing to run. Buffered-mode atomicity is emulated by priority: the
+ * message-handling (drain) thread runs at high priority so handlers
+ * are atomic with respect to other application threads, exactly as
+ * Section 4.2 describes.
  */
 
 #ifndef FUGU_RT_THREAD_HH
 #define FUGU_RT_THREAD_HH
 
 #include <deque>
-#include <memory>
 #include <queue>
 #include <string>
-#include <unordered_map>
 
 #include "core/costs.hh"
 #include "exec/cpu.hh"
@@ -34,32 +34,6 @@ inline constexpr int kPrioNormal = 0;
 /** Priority of the buffered-mode message-handling thread. */
 inline constexpr int kPrioHandler = 10;
 
-class Scheduler;
-
-class Thread
-{
-  public:
-    Thread(std::string name, int priority, exec::ContextPtr ctx)
-        : name_(std::move(name)), priority_(priority),
-          ctx_(std::move(ctx))
-    {}
-
-    const std::string &name() const { return name_; }
-    int priority() const { return priority_; }
-    const exec::ContextPtr &ctx() const { return ctx_; }
-    bool finished() const { return ctx_->finished(); }
-
-  private:
-    friend class Scheduler;
-
-    std::string name_;
-    int priority_;
-    exec::ContextPtr ctx_;
-    bool queued_ = false;
-};
-
-using ThreadPtr = std::shared_ptr<Thread>;
-
 class Scheduler
 {
   public:
@@ -68,8 +42,9 @@ class Scheduler
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
-    /** Create a thread and make it runnable. */
-    ThreadPtr spawn(std::string name, int priority, exec::Task body);
+    /** Create a thread (a user context it owns) and make it runnable. */
+    exec::ContextPtr spawn(std::string name, int priority,
+                           exec::Task body);
 
     /**
      * Pop the highest-priority runnable thread's context, or null.
@@ -79,15 +54,12 @@ class Scheduler
 
     bool hasRunnable() const;
 
-    /** Threads not yet finished. */
-    std::size_t liveThreads() const { return live_; }
+    /** The running context if it is one of this Scheduler's threads,
+     *  else null (e.g. inside an upcall handler context). */
+    exec::ContextPtr current() const;
 
-    /** The thread owning the currently running context (may be null,
-     *  e.g. inside an upcall handler context). */
-    ThreadPtr current() const;
-
-    /** The thread owning @p ctx, or null if it is not a thread. */
-    ThreadPtr threadOf(const exec::ContextPtr &ctx) const;
+    /** @p ctx if it is one of this Scheduler's threads, else null. */
+    exec::ContextPtr threadOf(const exec::ContextPtr &ctx) const;
 
     /// @name Called from thread code
     /// @{
@@ -101,14 +73,14 @@ class Scheduler
     /// @}
 
     /** Make a blocked thread runnable (callable from handlers). */
-    void makeReady(const ThreadPtr &t);
+    void makeReady(const exec::ContextPtr &t);
 
   private:
     struct QueueEntry
     {
         int prio;
         std::uint64_t seq;
-        ThreadPtr t;
+        exec::ContextPtr t;
 
         bool
         operator<(const QueueEntry &o) const
@@ -119,15 +91,12 @@ class Scheduler
         }
     };
 
-    void enqueue(const ThreadPtr &t);
-    void noteFinished();
+    void enqueue(const exec::ContextPtr &t);
 
     exec::Cpu &cpu_;
     const core::CostModel &costs_;
     std::priority_queue<QueueEntry> ready_;
-    std::unordered_map<exec::Context *, ThreadPtr> byCtx_;
     std::uint64_t nextSeq_ = 0;
-    std::size_t live_ = 0;
 };
 
 /** Condition variable for threads of one Scheduler. */
@@ -150,7 +119,7 @@ class CondVar
 
   private:
     Scheduler &sched_;
-    std::deque<ThreadPtr> waiters_;
+    std::deque<exec::ContextPtr> waiters_;
 };
 
 } // namespace fugu::rt

@@ -200,7 +200,6 @@ TEST_F(CpuTest, BlockAndWakeResumesAtWakePoint)
     eq.scheduleFn(
         [&] {
             EXPECT_EQ(ctx->state(), CtxState::Blocked);
-            cpu.wake(ctx);
             cpu.switchTo(ctx);
         },
         50);
@@ -210,55 +209,35 @@ TEST_F(CpuTest, BlockAndWakeResumesAtWakePoint)
 }
 
 Task
-pingPong(Cpu *cpu, std::vector<std::string> *trace, const char *me,
-         ContextPtr *other, int rounds)
-{
-    for (int i = 0; i < rounds; ++i) {
-        co_await cpu->spend(10);
-        trace->push_back(std::string(me) + "@" +
-                         std::to_string(cpu->now()));
-        if (*other && !(*other)->finished())
-            co_await cpu->yieldTo(*other);
-    }
-}
-
-TEST_F(CpuTest, YieldToSwitchesBetweenUserContexts)
-{
-    ContextPtr a, b;
-    a = cpu.spawn("a", false, pingPong(&cpu, &trace, "a", &b, 2));
-    b = cpu.spawn("b", false, pingPong(&cpu, &trace, "b", &a, 2));
-    cpu.switchTo(a);
-    eq.run();
-    EXPECT_EQ(trace, (std::vector<std::string>{"a@10", "b@20", "a@30",
-                                               "b@40"}));
-}
-
-Task
-trapHandlerTask(Cpu *cpu, ContextPtr victim, std::uint64_t result,
-                Cycle cost)
+trapHandlerTask(Cpu *cpu, ContextPtr victim,
+                std::vector<std::uint64_t> *args, Cycle cost)
 {
     co_await cpu->spend(cost);
-    victim->trapResult = result + victim->trapArg;
+    if (args)
+        args->push_back(victim->trapArg);
 }
 
 Task
 trapper(Cpu *cpu, std::vector<Cycle> *log)
 {
     co_await cpu->spend(10);
-    std::uint64_t r = co_await cpu->trap(3, 7);
-    log->push_back(r);
+    co_await cpu->trap(3, 7);
     log->push_back(cpu->now());
 }
 
 TEST_F(CpuTest, TrapRunsHandlerAndReturnsResult)
 {
+    std::vector<std::uint64_t> args;
     cpu.setTrapHandler(3, [&](ContextPtr victim) {
-        return trapHandlerTask(&cpu, victim, 100, 20);
+        return trapHandlerTask(&cpu, victim, &args, 20);
     });
     auto ctx = cpu.spawn("u", false, trapper(&cpu, &log));
     cpu.switchTo(ctx);
     eq.run();
-    EXPECT_EQ(log, (std::vector<Cycle>{107, 30}));
+    // The handler saw the trap argument; the victim resumed after the
+    // handler's 20 cycles.
+    EXPECT_EQ(args, (std::vector<std::uint64_t>{7}));
+    EXPECT_EQ(log, (std::vector<Cycle>{30}));
     EXPECT_DOUBLE_EQ(cpu.stats.trapsTaken.value(), 1.0);
 }
 
@@ -333,7 +312,7 @@ timedUser(Cpu *cpu, std::vector<Cycle> *log)
 TEST_F(CpuTest, UserTimerCountsOnlyUserCycles)
 {
     cpu.setTrapHandler(1, [&](ContextPtr victim) {
-        return trapHandlerTask(&cpu, victim, 0, 500);
+        return trapHandlerTask(&cpu, victim, nullptr, 500);
     });
     Cycle fired_at = 0;
     auto ctx = cpu.spawn("u", false, timedUser(&cpu, &log));
@@ -355,7 +334,6 @@ TEST_F(CpuTest, UserTimerCancel)
     eq.scheduleFn([&] { cpu.cancelUserTimer(); }, 60);
     eq.run();
     EXPECT_EQ(fired_at, 0u);
-    EXPECT_FALSE(cpu.userTimerActive());
 }
 
 TEST_F(CpuTest, UserTimerFiringExactlyAtSpendEndPendsInterrupt)
@@ -390,13 +368,17 @@ TEST_F(CpuTest, UserTimerPreemptsMidSpend)
 
 TEST_F(CpuTest, UserTimerRemainingReflectsProgress)
 {
+    // Armed at cycle 30, in the middle of a 50-cycle spend, the timer
+    // counts from the 30 user cycles already spent: it fires at 100,
+    // not at 70.
+    Cycle fired_at = 0;
     auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 50, 50));
-    cpu.setUserTimer(200, [] {});
     cpu.switchTo(ctx);
     eq.scheduleFn(
-        [&] { EXPECT_EQ(cpu.userTimerRemaining(), 170u); }, 30);
+        [&] { cpu.setUserTimer(70, [&] { fired_at = eq.now(); }); }, 30);
     eq.run();
-    EXPECT_EQ(cpu.userTimerRemaining(), 100u);
+    EXPECT_EQ(fired_at, 100u);
+    EXPECT_EQ(log, (std::vector<Cycle>{50, 100}));
 }
 
 TEST_F(CpuTest, DeterministicRerun)

@@ -6,108 +6,37 @@
  * SmallFn storage, and recycled slot/bucket/heap capacity cover
  * steady state.
  *
- * The global operator new/delete are replaced with counting versions;
- * each test warms the queue up (growing pools and vector capacity),
- * snapshots the allocation counter, runs the steady-state loop, and
- * asserts the counter did not move.
+ * The global operator new/delete are replaced with counting versions
+ * (count_alloc.cc); each test warms the queue up (growing pools and
+ * vector capacity), snapshots the allocation counter, runs the
+ * steady-state loop, and asserts the counter did not move.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "count_alloc.hh"
 #include "sim/event.hh"
 
 namespace
 {
 
-std::atomic<std::uint64_t> g_newCalls{0};
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    ++g_newCalls;
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(std::size_t n, std::align_val_t al)
-{
-    ++g_newCalls;
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                     (n + static_cast<std::size_t>(al) -
-                                      1) &
-                                         ~(static_cast<std::size_t>(al) -
-                                           1)))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t al)
-{
-    return ::operator new(n, al);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-namespace
-{
-
 using namespace fugu;
+
+TEST(EventAllocTest, CountingAllocatorIsLinked)
+{
+    // Every other test here asserts that the counter did not move,
+    // which would also hold if the counting operator new were not
+    // linked. A direct call whose result escapes through a volatile
+    // cannot be elided.
+    const std::uint64_t before = g_newCalls.load();
+    void *volatile p = ::operator new(64);
+    ::operator delete(p);
+    EXPECT_GT(g_newCalls.load(), before);
+}
 
 /** Chained one-shot callable with a capture the size of a Packet. */
 struct Chain

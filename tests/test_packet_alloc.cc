@@ -14,103 +14,20 @@
  * allocates nothing and a handler that reads every payload word
  * allocates no more than one that reads a single word.
  *
- * Same shape as test_event_alloc: counting operator new/delete, warm
- * up to high-water capacity, snapshot the counter, assert it holds.
+ * Same shape as test_event_alloc: counting operator new/delete
+ * (count_alloc.cc), warm up to high-water capacity, snapshot the
+ * counter, assert it holds.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "count_alloc.hh"
 #include "glaze/machine.hh"
 #include "net/network.hh"
-
-namespace
-{
-
-std::atomic<std::uint64_t> g_newCalls{0};
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    ++g_newCalls;
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(std::size_t n, std::align_val_t al)
-{
-    ++g_newCalls;
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                     (n + static_cast<std::size_t>(al) -
-                                      1) &
-                                         ~(static_cast<std::size_t>(al) -
-                                           1)))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t al)
-{
-    return ::operator new(n, al);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -172,6 +89,18 @@ struct PacketAllocTest : ::testing::Test
     Network net;
     CountSink sinks[kNodes];
 };
+
+TEST_F(PacketAllocTest, CountingAllocatorIsLinked)
+{
+    // The tests below assert that the counter did not move, which
+    // would also hold if the counting operator new were not linked. A
+    // direct call whose result escapes through a volatile cannot be
+    // elided.
+    const std::uint64_t before = g_newCalls.load();
+    void *volatile p = ::operator new(64);
+    ::operator delete(p);
+    EXPECT_GT(g_newCalls.load(), before);
+}
 
 TEST_F(PacketAllocTest, SteadyStateDeliveryIsAllocationFree)
 {

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the user-level thread runtime: priority scheduling,
- * yield fairness, condition variables, and wakeup robustness.
+ * yield fairness, condition variables, wakeup robustness, and the
+ * release of finished threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "rt/thread.hh"
@@ -50,10 +52,12 @@ worker(Cpu *cpu, std::vector<std::string> *log, const char *name,
 
 TEST_F(RtTest, SpawnRunsThread)
 {
-    sched.spawn("a", kPrioNormal, worker(&cpu, &log, "a", 10));
+    auto a = sched.spawn("a", kPrioNormal, worker(&cpu, &log, "a", 10));
+    EXPECT_EQ(a->owner, &sched);
+    EXPECT_EQ(a->priority, kPrioNormal);
     eq.run();
     EXPECT_EQ(log, (std::vector<std::string>{"a"}));
-    EXPECT_EQ(sched.liveThreads(), 0u);
+    EXPECT_TRUE(a->finished());
 }
 
 TEST_F(RtTest, HigherPriorityRunsFirst)
@@ -114,12 +118,17 @@ TEST_F(RtTest, CondVarNotifyAllWakesEveryWaiter)
 {
     CondVar cv(sched);
     bool flag = false;
-    sched.spawn("w1", kPrioNormal, waiter(&cpu, &cv, &log, "w1", &flag));
-    sched.spawn("w2", kPrioNormal, waiter(&cpu, &cv, &log, "w2", &flag));
-    sched.spawn("s", kPrioNormal, signaler(&cpu, &cv, &flag));
+    const ContextPtr threads[] = {
+        sched.spawn("w1", kPrioNormal,
+                    waiter(&cpu, &cv, &log, "w1", &flag)),
+        sched.spawn("w2", kPrioNormal,
+                    waiter(&cpu, &cv, &log, "w2", &flag)),
+        sched.spawn("s", kPrioNormal, signaler(&cpu, &cv, &flag)),
+    };
     eq.run();
     EXPECT_EQ(log.size(), 2u);
-    EXPECT_EQ(sched.liveThreads(), 0u);
+    for (const ContextPtr &t : threads)
+        EXPECT_TRUE(t->finished()) << t->name();
 }
 
 TEST_F(RtTest, NotifyOneWakesExactlyOne)
@@ -162,9 +171,73 @@ TEST_F(RtTest, SpuriousDuplicateQueueEntriesAreHarmless)
 TEST_F(RtTest, ThreadOfMapsContexts)
 {
     auto t = sched.spawn("w", kPrioNormal, worker(&cpu, &log, "w", 1000));
-    EXPECT_EQ(sched.threadOf(t->ctx()), t);
+    EXPECT_EQ(sched.threadOf(t), t);
     EXPECT_EQ(sched.threadOf(nullptr), nullptr);
+    // A kernel context belongs to no Scheduler.
+    auto k = cpu.spawn("k", /*kernel=*/true, worker(&cpu, &log, "k", 1));
+    EXPECT_EQ(sched.threadOf(k), nullptr);
+    // Another process's thread on the same Cpu is not this
+    // Scheduler's, though it is a thread.
+    Scheduler other(cpu, costs);
+    auto o = other.spawn("o", kPrioNormal, worker(&cpu, &log, "o", 1));
+    EXPECT_EQ(sched.threadOf(o), nullptr);
+    EXPECT_EQ(other.threadOf(o), o);
     eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"w"}));
+}
+
+Task
+probeRunnable(Cpu *cpu, Scheduler *sched, std::vector<bool> *seen)
+{
+    co_await cpu->spend(5);
+    seen->push_back(sched->hasRunnable());
+}
+
+TEST_F(RtTest, HasRunnableIgnoresFinishedThreads)
+{
+    std::vector<bool> seen;
+    EXPECT_FALSE(sched.hasRunnable());
+    auto a = sched.spawn("a", kPrioNormal, worker(&cpu, &log, "a", 10));
+    EXPECT_TRUE(sched.hasRunnable());
+    sched.spawn("b", kPrioNormal, probeRunnable(&cpu, &sched, &seen));
+    // A second entry for a: once a has finished, it is a stale
+    // duplicate, and while b runs it is the only entry queued.
+    sched.makeReady(a);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a"}));
+    EXPECT_EQ(seen, (std::vector<bool>{false}));
+    EXPECT_FALSE(sched.hasRunnable());
+}
+
+Task
+yieldThenCheck(Cpu *cpu, Scheduler *sched,
+               const std::weak_ptr<Context> *watched, int rounds,
+               bool *released)
+{
+    for (int i = 0; i < rounds; ++i) {
+        co_await cpu->spend(5);
+        co_await sched->yield();
+    }
+    *released = watched->expired();
+}
+
+TEST_F(RtTest, FinishedThreadIsReleasedWhileOthersRun)
+{
+    // Thread a finishes while b keeps yielding, so the ready queue
+    // never empties before b ends; a's context (and its coroutine
+    // frame) must still be gone by then.
+    std::weak_ptr<Context> watched;
+    bool released = false;
+    auto a = sched.spawn("a", kPrioNormal, worker(&cpu, &log, "a", 10));
+    auto b = sched.spawn("b", kPrioNormal,
+                         yieldThenCheck(&cpu, &sched, &watched, 5,
+                                        &released));
+    watched = a;
+    a.reset();
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a"}));
+    EXPECT_TRUE(b->finished());
+    EXPECT_TRUE(released);
 }
 
 } // namespace
