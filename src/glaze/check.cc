@@ -1,5 +1,6 @@
 #include "glaze/check.hh"
 
+#include <optional>
 #include <string>
 
 #include "glaze/kernel.hh"
@@ -68,19 +69,15 @@ InvariantChecker::InvariantChecker(Machine &m, CheckConfig cfg)
 std::uint64_t
 InvariantChecker::checksum(const net::Packet &pkt)
 {
-    // FNV-1a over everything user code can observe about the message.
+    // FNV-1a over everything user code can observe about the message,
+    // one word per step. Each step x -> (x ^ w) * prime is a bijection
+    // of x for a fixed word w and of w for a fixed x (the prime is
+    // odd), so changing any single word changes the checksum.
     std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(pkt.src);
-    mix(pkt.dst);
-    mix(pkt.gid);
-    mix(pkt.handler);
-    mix(pkt.payload.size());
+    auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001b3ull; };
+    mix(pkt.src | (std::uint64_t{pkt.dst} << 16) |
+        (std::uint64_t{pkt.gid} << 32));
+    mix(pkt.handler | (std::uint64_t{pkt.payload.size()} << 32));
     for (Word w : pkt.payload)
         mix(w);
     return h;
@@ -95,6 +92,15 @@ InvariantChecker::report(Scalar &counter, const std::string &msg)
         fugu_fatal("invariant violation (check.fatal=true): ", msg);
 }
 
+InvariantChecker::GidState &
+InvariantChecker::gidState(Gid gid)
+{
+    // Machine assigns GIDs densely from 1, so this stays a few entries.
+    if (gid >= gids_.size())
+        gids_.resize(gid + 1);
+    return gids_[gid];
+}
+
 void
 InvariantChecker::onInject(const net::Packet &pkt)
 {
@@ -105,15 +111,32 @@ InvariantChecker::onInject(const net::Packet &pkt)
     // semantics to verify.
     if (pkt.gid == kKernelGid)
         return;
-    const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    pending_.emplace(pkt.seq,
-                     PendingMsg{checksum(pkt), sendIdx_[key]++});
+    StreamState &s = streams_.getOrCreate(streamKey(pkt.src, pkt.dst, pkt.gid));
+    pending_.getOrCreate(pkt.seq) = PendingMsg{checksum(pkt), s.sent++};
     // Starvation clock: the GID now has traffic pending; if it had
     // none before, gaps measure from this inject, so idle tenants
     // accrue nothing.
-    GidState &g = gids_[pkt.gid];
+    GidState &g = gidState(pkt.gid);
     if (g.pending++ == 0)
         g.pendingSince = m_.now();
+}
+
+void
+InvariantChecker::retire(const net::Packet &pkt, const PendingMsg &msg,
+                         const char *how)
+{
+    StreamState &s =
+        streams_.getOrCreate(streamKey(pkt.src, pkt.dst, pkt.gid));
+    // Every message of the stream before s.next has retired or been
+    // overtaken by one that did (and counted then), so only a message
+    // past s.next jumps the queue.
+    if (msg.orderIdx > s.next)
+        report(stats.fifoViolations,
+               detail::concat("stream (", pkt.src, "->", pkt.dst, ", gid ",
+                         pkt.gid, ") ", how, " message #", msg.orderIdx,
+                         " but #", s.next, " was next"));
+    if (msg.orderIdx >= s.next)
+        s.next = msg.orderIdx + 1;
 }
 
 void
@@ -133,35 +156,25 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
                detail::concat("packet for node ", pkt.dst,
                          " consumed on node ", node));
 
-    noteService(gids_[pkt.gid], pkt.gid, m_.now());
+    noteService(gidState(pkt.gid), pkt.gid, m_.now());
 
-    auto it = pending_.find(pkt.seq);
-    if (it == pending_.end()) {
+    const std::optional<PendingMsg> msg = pending_.take(pkt.seq);
+    if (!msg) {
         report(stats.unknownDeliveries,
                detail::concat("seq ", pkt.seq, " consumed on node ", node,
                          " was never injected (or consumed twice)"));
         return;
     }
 
-    const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    std::uint64_t &expect = consumeIdx_[key];
-    if (it->second.orderIdx != expect)
-        report(stats.fifoViolations,
-               detail::concat("stream (", pkt.src, "->", pkt.dst, ", gid ",
-                         pkt.gid, ") consumed message #",
-                         it->second.orderIdx, " but #", expect,
-                         " was next",
-                         buffered_path ? " (buffered)" : " (direct)"));
-    if (it->second.orderIdx >= expect)
-        expect = it->second.orderIdx + 1;
+    retire(pkt, *msg,
+           buffered_path ? "consumed (buffered)" : "consumed (direct)");
 
-    if (it->second.checksum != checksum(pkt))
+    if (msg->checksum != checksum(pkt))
         report(stats.contentViolations,
                detail::concat("seq ", pkt.seq, " payload changed between ",
                          "inject and consume (stream ", pkt.src, "->",
                          pkt.dst, ")"));
 
-    pending_.erase(it);
     ++stats.checkedDeliveries;
 
     ++deliveries_;
@@ -178,16 +191,12 @@ InvariantChecker::onDrop(const net::Packet &pkt, NodeId node)
     // A kernel-policy drop (no process owns the GID here) retires the
     // message's slot in its stream so later deliveries — if a process
     // does own the GID elsewhere in time — still FIFO-check cleanly.
-    auto it = pending_.find(pkt.seq);
-    if (it == pending_.end())
+    const std::optional<PendingMsg> msg = pending_.take(pkt.seq);
+    if (!msg)
         return;
-    const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    std::uint64_t &expect = consumeIdx_[key];
-    if (it->second.orderIdx >= expect)
-        expect = it->second.orderIdx + 1;
-    pending_.erase(it);
+    retire(pkt, *msg, "dropped");
     // The dropped message no longer waits for service.
-    GidState &g = gids_[pkt.gid];
+    GidState &g = gidState(pkt.gid);
     if (g.pending && --g.pending == 0)
         g.pendingSince = 0;
 }
@@ -260,56 +269,52 @@ InvariantChecker::noteService(GidState &g, Gid gid, Cycle now)
 InvariantChecker::GidIsolation
 InvariantChecker::isolation(Gid gid) const
 {
-    const auto it = gids_.find(gid);
-    return it == gids_.end() ? GidIsolation{} : it->second.iso;
+    return gid < gids_.size() ? gids_[gid].iso : GidIsolation{};
 }
 
 void
 InvariantChecker::sweepConservation()
 {
+    accounted_.resize(m_.nodeCount());
+    for (NodeId n = 0; n < m_.nodeCount(); ++n)
+        accounted_[n] = m_.pinnedFrames(n);
+    for (const auto &proc : m_.processes)
+        accounted_[proc->node()] +=
+            proc->vbuf().pagesResident() + proc->as().mappedPages();
     for (NodeId n = 0; n < m_.nodeCount(); ++n) {
-        unsigned expected = m_.pinnedFrames(n);
-        std::unordered_map<Gid, unsigned> held;
-        for (const auto &proc : m_.processes) {
-            if (proc->node() != n)
-                continue;
-            const unsigned frames = proc->vbuf().pagesResident() +
-                                    proc->as().mappedPages();
-            expected += frames;
-            held[proc->gid()] += frames;
-        }
         const unsigned used = m_.node(n).frames.used();
-        if (used != expected)
+        if (used != accounted_[n])
             report(stats.conservationViolations,
                    detail::concat("node ", n, " frame pool uses ", used,
-                             " frames but ", expected,
+                             " frames but ", accounted_[n],
                              " are accounted for (pinned + vbuf ",
                              "resident + heap mapped)"));
+    }
 
-        // Cross-tenant occupancy, fed by the same accounting the
-        // conservation check just verified: how much of this node's
-        // pool each GID pins right now.
-        const unsigned total = m_.node(n).frames.total();
+    // Cross-tenant occupancy, fed by the same accounting the
+    // conservation check just verified: how much of its node's pool
+    // each GID pins right now. A job has one process per node, so a
+    // process's frames are its GID's frames on that node.
+    for (const auto &proc : m_.processes) {
+        const unsigned total = m_.node(proc->node()).frames.total();
         if (total == 0)
             continue;
-        for (const auto &[gid, frames] : held) {
-            GidState &g = gids_[gid];
-            if (frames > g.iso.framePeak)
-                g.iso.framePeak = frames;
-            const double share =
-                static_cast<double>(frames) / total;
-            if (share > g.iso.frameShareMax)
-                g.iso.frameShareMax = share;
-            if (share > stats.maxFrameShare.value())
-                stats.maxFrameShare.set(share);
-            if (cfg_.frameShareLimit > 0.0 &&
-                share > cfg_.frameShareLimit)
-                report(stats.isolationViolations,
-                       detail::concat("gid ", gid, " holds ", frames,
-                                 " of ", total, " frames on node ", n,
-                                 " (share limit ",
-                                 cfg_.frameShareLimit, ")"));
-        }
+        const unsigned frames =
+            proc->vbuf().pagesResident() + proc->as().mappedPages();
+        GidState &g = gidState(proc->gid());
+        if (frames > g.iso.framePeak)
+            g.iso.framePeak = frames;
+        const double share = static_cast<double>(frames) / total;
+        if (share > g.iso.frameShareMax)
+            g.iso.frameShareMax = share;
+        if (share > stats.maxFrameShare.value())
+            stats.maxFrameShare.set(share);
+        if (cfg_.frameShareLimit > 0.0 && share > cfg_.frameShareLimit)
+            report(stats.isolationViolations,
+                   detail::concat("gid ", proc->gid(), " holds ", frames,
+                             " of ", total, " frames on node ",
+                             proc->node(), " (share limit ",
+                             cfg_.frameShareLimit, ")"));
     }
 }
 

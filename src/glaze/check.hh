@@ -36,9 +36,11 @@
 #define FUGU_GLAZE_CHECK_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 #include "net/packet.hh"
+#include "sim/flatmap.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -170,6 +172,13 @@ class InvariantChecker final : public net::PacketWatcher
         std::uint64_t orderIdx; ///< position within its stream
     };
 
+    /** One (src, dst, gid) stream's order indices. */
+    struct StreamState
+    {
+        std::uint64_t sent = 0; ///< next order index to assign
+        std::uint64_t next = 0; ///< order index expected to retire next
+    };
+
     /** Live per-GID starvation/occupancy bookkeeping. */
     struct GidState
     {
@@ -179,20 +188,33 @@ class InvariantChecker final : public net::PacketWatcher
         std::uint64_t pending = 0;
     };
 
+    GidState &gidState(Gid gid);
+
+    /**
+     * Retire @p msg from its stream (delivered or dropped). A message
+     * retired past its stream's next order index jumps the queue and
+     * counts one FIFO violation; the messages it overtook then retire
+     * without counting again.
+     */
+    void retire(const net::Packet &pkt, const PendingMsg &msg,
+                const char *how);
+
     void noteService(GidState &g, Gid gid, Cycle now);
 
     Machine &m_;
     CheckConfig cfg_;
 
     /** In-flight user messages, keyed by injection seq. */
-    std::unordered_map<std::uint64_t, PendingMsg> pending_;
+    sim::FlatMap<std::uint64_t, PendingMsg> pending_;
 
-    /** Next order index to assign / expect, per stream. */
-    std::unordered_map<std::uint64_t, std::uint64_t> sendIdx_;
-    std::unordered_map<std::uint64_t, std::uint64_t> consumeIdx_;
+    /** Order indices per stream, keyed by streamKey. */
+    sim::FlatMap<std::uint64_t, StreamState> streams_;
 
-    /** Isolation/starvation metrics per application GID. */
-    std::unordered_map<Gid, GidState> gids_;
+    /** Isolation/starvation metrics, indexed by application GID. */
+    std::vector<GidState> gids_;
+
+    /** Frames accounted per node by the last conservation sweep. */
+    std::vector<unsigned> accounted_;
 
     std::uint64_t deliveries_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "net/network.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/config.hh"
 #include "sim/fault.hh"
@@ -85,55 +84,6 @@ Network::latency(NodeId src, NodeId dst, unsigned words) const
 {
     return cfg_.latencyBase + cfg_.perHop * hops(src, dst) +
            cfg_.perWord * words;
-}
-
-Channel &
-ChannelMap::getOrCreate(ChannelKey k)
-{
-    // Grow at ~70% load so probe chains stay short.
-    if (slots_.empty() || (size_ + 1) * 10 >= slots_.size() * 7)
-        grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(k);; ++i) {
-        Slot &s = slots_[i & mask];
-        if (!s.used) {
-            s.used = true;
-            s.key = k;
-            ++size_;
-            return s.ch;
-        }
-        if (s.key == k)
-            return s.ch;
-    }
-}
-
-void
-ChannelMap::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
-    const std::size_t mask = slots_.size() - 1;
-    for (Slot &s : old) {
-        if (!s.used)
-            continue;
-        std::size_t i = home(s.key);
-        while (slots_[i & mask].used)
-            ++i;
-        slots_[i & mask] = s;
-    }
-}
-
-std::size_t
-ChannelMap::maxProbe() const
-{
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t longest = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        if (slots_[i].used)
-            longest = std::max(longest,
-                               ((i - home(slots_[i].key)) & mask) + 1);
-    return longest;
 }
 
 bool

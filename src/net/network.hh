@@ -29,6 +29,7 @@
 
 #include "net/packet.hh"
 #include "sim/event.hh"
+#include "sim/flatmap.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -119,72 +120,11 @@ struct Channel
 };
 
 /**
- * Open-addressing (src,dst) -> Channel map. Channels are created once
- * per communicating pair and then only looked up, which a node-based
- * std::map punishes with a pointer chase per level on the per-message
- * send/drain path; linear probing over a flat power-of-2 table makes
- * the lookup one or two cache lines. Never iterated, so table order
- * can't leak into simulation order. References are invalidated by
- * getOrCreate (growth).
+ * (src,dst) -> Channel. Channels are created once per communicating
+ * pair and then only looked up, on the per-message send and drain
+ * path (see sim::FlatMap).
  */
-class ChannelMap
-{
-  public:
-    Channel *
-    find(ChannelKey k)
-    {
-        if (size_ == 0)
-            return nullptr;
-        const std::size_t mask = slots_.size() - 1;
-        for (std::size_t i = home(k);; ++i) {
-            Slot &s = slots_[i & mask];
-            if (!s.used)
-                return nullptr;
-            if (s.key == k)
-                return &s.ch;
-        }
-    }
-
-    const Channel *
-    find(ChannelKey k) const
-    {
-        return const_cast<ChannelMap *>(this)->find(k);
-    }
-
-    Channel &getOrCreate(ChannelKey k);
-
-    std::size_t size() const { return size_; }
-
-    /** Slots the longest lookup of a stored key visits (0 if empty). */
-    std::size_t maxProbe() const;
-
-  private:
-    struct Slot
-    {
-        ChannelKey key = 0;
-        bool used = false;
-        Channel ch;
-    };
-
-    /**
-     * Fibonacci hashing: the key times 2^64/phi, indexed by the
-     * product's top bits. Every table size draws its home slot from
-     * all of the key's bits, so home slots cover the whole table at
-     * any size and adjacent node pairs spread out.
-     */
-    std::size_t
-    home(ChannelKey k) const
-    {
-        return static_cast<std::size_t>(
-            (std::uint64_t{k} * 0x9e3779b97f4a7c15ull) >> shift_);
-    }
-
-    void grow();
-
-    std::vector<Slot> slots_; // power-of-2 size
-    std::size_t size_ = 0;
-    unsigned shift_ = 0; // 64 - log2(slots_.size()), set by grow()
-};
+using ChannelMap = sim::FlatMap<ChannelKey, Channel>;
 
 class Network
 {

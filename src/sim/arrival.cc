@@ -1,6 +1,9 @@
 #include "sim/arrival.hh"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "sim/config.hh"
 #include "sim/log.hh"
@@ -43,6 +46,25 @@ zeta(std::uint64_t n, double theta)
     for (std::uint64_t i = 1; i <= n; ++i)
         z += 1.0 / std::pow(static_cast<double>(i), theta);
     return z;
+}
+
+/**
+ * zeta(n, theta), summed once per process: every node of every
+ * serving run builds a generator over the same few (keys, theta)
+ * pairs, and zeta(65536, 0.99) is 65,536 pow calls. The first caller
+ * sums under the lock, so concurrent parallelFor cells wait for it
+ * instead of summing again; the value is the one zeta() returns.
+ */
+double
+memoZeta(std::uint64_t n, double theta)
+{
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, double>, double> memo;
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto [it, fresh] = memo.try_emplace({n, theta}, 0.0);
+    if (fresh)
+        it->second = zeta(n, theta);
+    return it->second;
 }
 
 } // namespace
@@ -94,7 +116,7 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg,
     }
 
     if (cfg_.zipfTheta > 0 && cfg_.keys > 1) {
-        zetaN_ = zeta(cfg_.keys, cfg_.zipfTheta);
+        zetaN_ = memoZeta(cfg_.keys, cfg_.zipfTheta);
         zeta2_ = zeta(2, cfg_.zipfTheta);
         zipfAlpha_ = 1.0 / (1.0 - cfg_.zipfTheta);
         zipfEta_ =

@@ -2,8 +2,9 @@
  * @file
  * ArrivalProcess tests: the open-loop load generator is a pure
  * function of (config, stream) — bit-identical streams however the
- * host schedules work — and its three interarrival mixes and the
- * Zipf key popularity have the statistics they claim.
+ * host schedules work, including when many threads build generators
+ * at once — and its three interarrival mixes and the Zipf key
+ * popularity have the statistics they claim.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "sim/arrival.hh"
@@ -215,6 +217,30 @@ TEST(ArrivalTest, ZeroThetaIsUniform)
     EXPECT_EQ(freq.size(), 64u);
     for (const auto &[k, n] : freq)
         EXPECT_NEAR(static_cast<double>(n), 1000.0, 250.0) << k;
+}
+
+TEST(ArrivalTest, GeneratorsBuiltOnEightThreadsMatchSerialDraws)
+{
+    // zeta(keys, theta) is summed once per process and shared; eight
+    // threads building one config's generators at once all race for
+    // the first sum. Keys and theta are this test's own, so no earlier
+    // test has filled the memo for them.
+    ArrivalConfig cfg;
+    cfg.keys = 40009;
+    cfg.zipfTheta = 0.77;
+    cfg.seed = 5;
+    constexpr unsigned kThreads = 8;
+    std::vector<Stream> threaded(kThreads);
+    {
+        std::vector<std::thread> pool;
+        for (unsigned t = 0; t < kThreads; ++t)
+            pool.emplace_back(
+                [&cfg, &threaded, t] { threaded[t] = draw(cfg, t, 2000); });
+        for (std::thread &th : pool)
+            th.join();
+    }
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_EQ(threaded[t], draw(cfg, t, 2000)) << "stream " << t;
 }
 
 TEST(ArrivalTest, SingleKeyKeyspaceAlwaysDrawsZero)

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the interconnect model: ordering, latency,
  * back-pressure, head-of-line blocking, space notifications, and the
- * channel table's probe lengths.
+ * flat table behind the channel map: probe lengths and erase.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +86,50 @@ TEST(ChannelMapTest, ProbesStayShortPastSixtyFourKChannels)
     ASSERT_NE(map.find(channelKey(1023, 5)), nullptr);
     EXPECT_EQ(map.find(channelKey(1023, 5))->wordsInFlight, 1023u ^ 5u);
     EXPECT_EQ(map.find(channelKey(1024, 5)), nullptr);
+}
+
+TEST(FlatMapTest, TakeKeepsEveryOtherKeyReachable)
+{
+    // Keys come and go as the checker's in-flight table sees them:
+    // sequence numbers inserted in order, retired out of order. After
+    // every take, each live key must still be found with its value
+    // and each taken key must be gone (backward-shift erase leaves no
+    // broken probe chain and no tombstone).
+    sim::FlatMap<std::uint64_t, std::uint64_t> map;
+    std::vector<bool> live(4096, false);
+    std::uint64_t x = 7;
+    std::uint64_t next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t k = (x >> 33) % live.size();
+        if ((x >> 20) % 3 != 0 && next < live.size()) {
+            map.getOrCreate(next) = next * 3;
+            live[next++] = true;
+        } else if (live[k]) {
+            const auto v = map.take(k);
+            ASSERT_TRUE(v.has_value()) << k;
+            EXPECT_EQ(*v, k * 3);
+            live[k] = false;
+        } else {
+            EXPECT_FALSE(map.take(k).has_value()) << k;
+        }
+    }
+    std::size_t count = 0;
+    for (std::uint64_t k = 0; k < live.size(); ++k) {
+        const std::uint64_t *v = map.find(k);
+        ASSERT_EQ(v != nullptr, bool(live[k])) << k;
+        if (v) {
+            EXPECT_EQ(*v, k * 3);
+            ++count;
+        }
+    }
+    EXPECT_EQ(map.size(), count);
+    // A taken key comes back default-constructed.
+    for (std::uint64_t k = 0; k < live.size(); ++k)
+        if (!live[k]) {
+            EXPECT_EQ(map.getOrCreate(k), 0u);
+            break;
+        }
 }
 
 TEST_F(NetworkTest, DeliversWithModelLatency)

@@ -11,8 +11,9 @@
  * The same counter then follows the leaf operations of a fast-case
  * delivery on a running machine: Process::compute and UdmPort::read
  * are awaiters with no coroutine frame, so a warmed-up compute loop
- * allocates nothing and a handler that reads every payload word
- * allocates no more than one that reads a single word.
+ * allocates nothing, a handler that reads every payload word
+ * allocates no more than one that reads a single word, and the
+ * invariant checker adds no allocation to a delivery.
  *
  * Same shape as test_event_alloc: counting operator new/delete
  * (count_alloc.cc), warm up to high-water capacity, snapshot the
@@ -254,15 +255,17 @@ reader(glaze::Process &p, Delivery *d)
 
 /**
  * Heap allocations over the deliveries after warm-up (both nodes: the
- * send, the interrupt and upcall contexts, the handler and dispose).
+ * send, the interrupt and upcall contexts, the handler and dispose,
+ * and the invariant checker unless @p check is false).
  * The sender's period repeats every 1024 deliveries in the near band,
  * so warm-up has grown every event-queue bucket it will use.
  */
 std::uint64_t
-deliveryAllocations(unsigned words)
+deliveryAllocations(unsigned words, bool check = true)
 {
     glaze::MachineConfig cfg;
     cfg.nodes = 2;
+    cfg.check.enabled = check;
     glaze::Machine m(cfg);
     Delivery d;
     d.words = words;
@@ -287,6 +290,20 @@ TEST(FastCaseAllocTest, PayloadReadsAreAllocationFree)
     const std::uint64_t all = deliveryAllocations(kMaxPayloadWords);
     EXPECT_EQ(all, one) << "reading " << kMaxPayloadWords
                         << " payload words instead of 1 allocated";
+}
+
+TEST(FastCaseAllocTest, CheckerAddsNoAllocations)
+{
+    // The checker's per-message and per-stream state lives in flat
+    // tables that reach their high-water mark during warm-up, and its
+    // periodic conservation sweep keeps no per-sweep map.
+    const std::uint64_t on = deliveryAllocations(1, /*check=*/true);
+    const std::uint64_t off = deliveryAllocations(1, /*check=*/false);
+    EXPECT_EQ(on, off) << "the invariant checker allocated "
+                       << static_cast<std::int64_t>(on - off)
+                       << " heap blocks over "
+                       << kDeliveries - kWarmDeliveries - 1
+                       << " warmed-up deliveries";
 }
 
 } // namespace
