@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <deque>
-#include <unordered_set>
 
 #include "apps/triangle.hh"
+#include "sim/flatmap.hh"
 
 namespace fugu::apps
 {
@@ -29,7 +29,8 @@ struct EnumState
     rt::CondVar cv;
     TriangleBoard board;
 
-    std::unordered_set<Word> visited;
+    /** States seen (value true); host-side bookkeeping only. */
+    sim::FlatMap<Word, bool> visited;
     std::deque<Word> pending;
     std::uint64_t sent = 0;
     std::uint64_t received = 0;
@@ -68,8 +69,10 @@ expandAll(EnumState *s)
     while (!s->pending.empty()) {
         const Word state = s->pending.front();
         s->pending.pop_front();
-        if (!s->visited.insert(state).second)
+        bool &seen = s->visited.getOrCreate(state);
+        if (seen)
             continue;
+        seen = true;
         ++s->expanded;
         if (std::popcount(state) == 1)
             ++s->solutions;
@@ -84,7 +87,7 @@ expandAll(EnumState *s)
             const Word child = s->board.apply(state, mv);
             const NodeId owner = ownerOf(child, s->nnodes);
             if (owner == p.node()) {
-                if (!s->visited.count(child))
+                if (!s->visited.find(child))
                     s->pending.push_back(child);
             } else {
                 ++s->sent;
@@ -117,7 +120,7 @@ enumMain(glaze::Process &p, unsigned nnodes, EnumAppConfig cfg,
             co_await s->proc.compute(s->cfg.handlerCost);
             co_await port.dispose();
             ++s->received;
-            if (!s->visited.count(state))
+            if (!s->visited.find(state))
                 s->pending.push_back(state);
             s->cv.notifyAll();
         });

@@ -1,5 +1,6 @@
 #include "exec/cpu.hh"
 
+#include "exec/pool.hh"
 #include "sim/log.hh"
 
 namespace fugu::exec
@@ -52,7 +53,9 @@ Cpu::Stats::Stats(StatGroup *parent, NodeId id)
       trapsTaken(&group, "traps_taken", "traps taken"),
       contextsSpawned(&group, "contexts_spawned", "contexts created"),
       preemptions(&group, "preemptions",
-                  "user contexts frozen by interrupts")
+                  "user contexts frozen by interrupts"),
+      spendsElided(&group, "spends_elided",
+                   "spends ended without an event")
 {
 }
 
@@ -220,8 +223,9 @@ ContextPtr
 Cpu::spawn(std::string name, bool kernel, Task task)
 {
     ++stats.contextsSpawned;
-    return std::make_shared<Context>(this, std::move(name), kernel,
-                                     std::move(task));
+    return std::allocate_shared<Context>(PoolAllocator<Context>(), this,
+                                         std::move(name), kernel,
+                                         std::move(task));
 }
 
 void
@@ -273,6 +277,20 @@ Cpu::onSpendSuspend(Cycle n, std::coroutine_handle<> h)
     }
     if (n == 0)
         return false; // nothing to wait for; continue immediately
+    // Elide the spend when its end event would fire next: nothing is
+    // due until then, and no user-timer event would fire inside it.
+    // endSpend runs what that event would run before resuming this
+    // coroutine, which then continues at the same cycle with the same
+    // queue. Only here, where the coroutine's suspension would end the
+    // event: beginSpend's other caller, the frozen-resume path, still
+    // has work to do after it.
+    const bool timer_inside = timer_.active && ctx.preemptible() &&
+                              timer_.deadline < userCycles_ + n;
+    if (!timer_inside && eq_.tryAdvance(eq_.now() + n)) {
+        ++stats.spendsElided;
+        endSpend(ctx, n);
+        return false;
+    }
     beginSpend(n);
     return true;
 }
@@ -417,9 +435,15 @@ Cpu::onSpendComplete()
     // current_ stays set (and owns ctx) until the resume below: the
     // timer callback only raises an interrupt, which pends.
     Context &ctx = *spend_.ctx;
-    Cycle n = spend_.end - spend_.start;
     spend_.active = false;
     spend_.ctx = nullptr;
+    endSpend(ctx, spend_.end - spend_.start);
+    ctx.resumePoint_.resume();
+}
+
+void
+Cpu::endSpend(const Context &ctx, Cycle n)
+{
     accountCycles(ctx, n);
     if (timer_.active && ctx.preemptible()) {
         // The in-spend firing event (if any) only exists for
@@ -432,7 +456,6 @@ Cpu::onSpendComplete()
             cb(); // typically raises an IRQ; pends until next spend
         }
     }
-    ctx.resumePoint_.resume();
 }
 
 void

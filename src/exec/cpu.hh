@@ -6,10 +6,12 @@
  * Simulated code advances time by awaiting spend(n); interrupts raised
  * by devices preempt a preemptible (user) context *in the middle* of a
  * spend with exact cycle accounting: the context is frozen with its
- * leftover cycles and a kernel handler context is dispatched. Kernel
- * contexts run with interrupts implicitly masked (they are never
- * preempted); pending lines are re-examined whenever the Cpu has to
- * decide what to run next.
+ * leftover cycles and a kernel handler context is dispatched. A spend
+ * with nothing due before its end moves the clock and continues
+ * without an event (EventQueue::tryAdvance), since its end event
+ * would have fired next anyway. Kernel contexts run with interrupts
+ * implicitly masked (they are never preempted); pending lines are
+ * re-examined whenever the Cpu has to decide what to run next.
  *
  * The Cpu has no scheduling policy of its own: when a context finishes
  * or blocks and no handler/return path is pending, it consults an
@@ -201,6 +203,7 @@ class Cpu
         Scalar trapsTaken;
         Scalar contextsSpawned;
         Scalar preemptions;
+        Scalar spendsElided;
     };
 
     Stats stats;
@@ -260,6 +263,13 @@ class Cpu
     /** Begin/continue a spend for the current context. */
     void beginSpend(Cycle n);
     void onSpendComplete();
+
+    /**
+     * Account a finished spend of @p n cycles by @p ctx and fire a
+     * user timer whose deadline it reached; the spend is no longer
+     * active.
+     */
+    void endSpend(const Context &ctx, Cycle n);
 
     /**
      * Freeze the current context mid-spend (IRQ arrived) and clear

@@ -14,6 +14,7 @@
  *
  * All simulated software (kernel handlers, user threads, upcall
  * handlers, applications) is written as coroutines built from these.
+ * Both take their frames from the per-thread pool (exec/pool.hh).
  */
 
 #ifndef FUGU_EXEC_TASK_HH
@@ -23,6 +24,7 @@
 #include <exception>
 #include <utility>
 
+#include "exec/pool.hh"
 #include "sim/log.hh"
 
 namespace fugu::exec
@@ -41,7 +43,7 @@ class Task
     struct promise_type;
     using Handle = std::coroutine_handle<promise_type>;
 
-    struct promise_type
+    struct promise_type : PooledFrame
     {
         /** Back-pointer set by Context when it adopts the task. */
         Context *ctx = nullptr;
@@ -121,7 +123,7 @@ namespace codetail
 {
 
 template <typename Derived>
-struct CoPromiseBase
+struct CoPromiseBase : PooledFrame
 {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;

@@ -285,7 +285,9 @@ Machine::runUntilDone(const Job *job, Cycle max_cycles)
     while (!job->done()) {
         if (now() > limit)
             return false;
-        if (!eq.runOne())
+        // Spends elided inside the event end by the limit, so the
+        // check above still sees every cycle an event would have.
+        if (!eq.runOne(limit))
             break; // queue drained
         ++eventsRun_;
     }

@@ -8,13 +8,56 @@
 namespace fugu
 {
 
-EventQueue::EventQueue() : ring_(kRingSize), ringHead_(kRingSize, 0) {}
-
 void
 EventQueue::freeSlot(std::uint32_t idx)
 {
-    slots_[idx].nextFree = freeSlotHead_;
+    node(idx).next = freeSlotHead_;
     freeSlotHead_ = idx;
+}
+
+void
+EventQueue::addChunk()
+{
+    const auto base =
+        static_cast<std::uint32_t>(chunks_.size() * kChunkNodes);
+    fugu_assert(base < kNoEventSlot - kChunkNodes, "event slots exhausted");
+    chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+    // Lowest index first off the free list.
+    for (std::uint32_t i = kChunkNodes; i-- > 0;)
+        freeSlot(base + i);
+}
+
+void
+EventQueue::bucketAppend(std::uint32_t b, std::uint32_t idx)
+{
+    Bucket &bk = ring_[b];
+    Node &n = node(idx);
+    n.bucket = b;
+    n.next = kNoEventSlot;
+    n.prev = bk.tail;
+    if (bk.tail != kNoEventSlot)
+        node(bk.tail).next = idx;
+    else
+        bk.head = idx;
+    bk.tail = idx;
+    occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
+}
+
+void
+EventQueue::bucketUnlink(std::uint32_t b, std::uint32_t idx)
+{
+    Bucket &bk = ring_[b];
+    const Node &n = node(idx);
+    if (n.prev != kNoEventSlot)
+        node(n.prev).next = n.next;
+    else
+        bk.head = n.next;
+    if (n.next != kNoEventSlot)
+        node(n.next).prev = n.prev;
+    else
+        bk.tail = n.prev;
+    if (bk.head == kNoEventSlot)
+        occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
 }
 
 namespace
@@ -89,26 +132,21 @@ EventQueue::push(Cycle when, const char *name)
 {
     fugu_assert(when >= now_, "event '", name,
                 "' scheduled in the past (", when, " < ", now_, ")");
-    std::uint32_t idx = freeSlotHead_;
-    if (idx != kNoEventSlot) {
-        freeSlotHead_ = slots_[idx].nextFree;
-    } else {
-        idx = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    SlotRec &s = slots_[idx];
-    s.node->name = name;
+    if (freeSlotHead_ == kNoEventSlot)
+        addChunk();
+    const std::uint32_t idx = freeSlotHead_;
+    Node &n = node(idx);
+    freeSlotHead_ = n.next;
+    n.name = name;
     ++live_;
     // ringBase_ <= now_ <= when always holds, so a window hit only
     // needs the upper bound. Bucket FIFO order is schedule order.
-    s.inRing = when < ringBase_ + kRingSize;
-    if (s.inRing) {
-        const std::uint32_t b = when & (kRingSize - 1);
-        occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-        ring_[b].push_back(BucketEntry{idx, s.gen});
-        ++ringCount_;
+    if (when < ringBase_ + kRingSize) {
+        bucketAppend(static_cast<std::uint32_t>(when & (kRingSize - 1)),
+                     idx);
     } else {
-        heapPush(HeapEntry{when, nextSeq_++, idx, s.gen});
+        n.bucket = kInHeap;
+        heapPush(HeapEntry{when, nextSeq_++, idx, n.gen});
     }
     return idx;
 }
@@ -116,23 +154,22 @@ EventQueue::push(Cycle when, const char *name)
 void
 EventQueue::cancelFn(const EventHandle &handle)
 {
-    if (handle.slot >= slots_.size() ||
-        slots_[handle.slot].gen != handle.gen)
+    if (handle.slot >= chunks_.size() * kChunkNodes ||
+        node(handle.slot).gen != handle.gen)
         return; // fired, cancelled, or slot since reused
-    SlotRec &s = slots_[handle.slot];
-    ++s.gen; // the queued entry goes stale
+    Node &n = node(handle.slot);
+    ++n.gen;
     fugu_assert(live_ > 0);
     --live_;
-    if (s.inRing) {
-        ++ringStale_;
-        ringSweepIfNeeded();
+    if (n.bucket != kInHeap) {
+        bucketUnlink(n.bucket, handle.slot);
     } else {
-        ++stale_;
+        ++stale_; // the heap entry goes stale
         compactIfNeeded();
     }
     // Drop the captures before freeing the slot: a capture's
     // destructor that schedules must not be handed this node.
-    s.node->fn.reset();
+    n.fn.reset();
     freeSlot(handle.slot);
 }
 
@@ -159,82 +196,56 @@ EventQueue::compactIfNeeded()
     stale_ = 0;
 }
 
-void
-EventQueue::ringSweepIfNeeded()
+bool
+EventQueue::tryAdvance(Cycle when)
 {
-    // Ring analogue of compactIfNeeded: without it, cancel churn on
-    // near-future events would grow bucket vectors without bound.
-    if (ringStale_ < 64 || ringStale_ * 2 < ringCount_)
-        return;
-    for (unsigned w = 0; w < kOccWords; ++w) {
-        std::uint64_t word = occ_[w];
-        while (word != 0) {
-            const unsigned b =
-                w * 64 + static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            std::vector<BucketEntry> &bucket = ring_[b];
-            std::size_t wr = 0;
-            for (std::size_t r = ringHead_[b]; r < bucket.size(); ++r) {
-                if (slots_[bucket[r].slot].gen == bucket[r].gen)
-                    bucket[wr++] = bucket[r];
-            }
-            ringCount_ -= bucket.size() - ringHead_[b] - wr;
-            bucket.resize(wr); // keeps capacity: no realloc churn
-            ringHead_[b] = 0;
-            if (wr == 0)
-                occ_[w] &= ~(std::uint64_t{1} << (b & 63));
-        }
+    fugu_assert(when >= now_, "tryAdvance into the past (", when, " < ",
+                now_, ")");
+    // The window bound also covers a clock that run(until) left past
+    // the window: then when >= now_ >= ringBase_ + kRingSize. Heap
+    // entries all lie past the window, so only the ring can hold
+    // events due in [now_, when].
+    if (when > horizon_ || when - ringBase_ >= kRingSize)
+        return false;
+    const Cycle lo = now_ - ringBase_;
+    const Cycle hi = when - ringBase_;
+    std::size_t w = lo >> 6;
+    std::uint64_t word = occ_[w] & (~std::uint64_t{0} << (lo & 63));
+    for (; w < (hi >> 6); word = occ_[++w]) {
+        if (word != 0)
+            return false;
     }
-    ringStale_ = 0;
+    if ((word & (~std::uint64_t{0} >> (63 - (hi & 63)))) != 0)
+        return false;
+    now_ = when;
+    return true;
 }
 
 bool
-EventQueue::findNext(NextEvent &nx)
+EventQueue::nextWhen(Cycle &when)
 {
     // Pushes never target cycles < now_, and every bucket the clock
-    // has passed was drained, so the scan can start at now_.
+    // has passed is empty, so the scan can start at now_. A set bit
+    // is a live event: buckets hold nothing else.
     const Cycle rel = now_ - ringBase_;
     if (rel < kRingSize) {
         std::size_t w = rel >> 6;
         std::uint64_t word = occ_[w] & (~std::uint64_t{0} << (rel & 63));
         for (;;) {
-            while (word == 0) {
-                if (++w >= kOccWords)
-                    break;
-                word = occ_[w];
+            if (word != 0) {
+                when = ringBase_ + w * 64 +
+                       static_cast<unsigned>(std::countr_zero(word));
+                return true;
             }
-            if (w >= kOccWords)
+            if (++w >= kOccWords)
                 break;
-            const std::uint32_t b =
-                static_cast<std::uint32_t>(w * 64) +
-                static_cast<std::uint32_t>(std::countr_zero(word));
-            // Drop the bucket's stale prefix before committing to it.
-            std::vector<BucketEntry> &bucket = ring_[b];
-            std::uint32_t h = ringHead_[b];
-            const std::size_t sz = bucket.size();
-            while (h < sz &&
-                   slots_[bucket[h].slot].gen != bucket[h].gen) {
-                ++h;
-                fugu_assert(ringStale_ > 0);
-                --ringStale_;
-                --ringCount_;
-            }
-            if (h == sz) { // bucket fully consumed/cancelled
-                bucket.clear();
-                ringHead_[b] = 0;
-                occ_[w] &= ~(std::uint64_t{1} << (b & 63));
-                word &= ~(std::uint64_t{1} << (b & 63));
-                continue;
-            }
-            ringHead_[b] = h;
-            nx = NextEvent{ringBase_ + b, true, b};
-            return true;
+            word = occ_[w];
         }
     }
     skipStale();
     if (heap_.empty())
         return false;
-    nx = NextEvent{heap_.front().when, false, 0};
+    when = heap_.front().when;
     return true;
 }
 
@@ -244,7 +255,7 @@ EventQueue::migrateWindow()
     const Cycle nb = now_ & ~Cycle{kRingSize - 1};
     // The fired far-band event had when >= ringBase_ + kRingSize, so
     // the window always moves forward (and the old ring is empty:
-    // findNext fell through to the heap only after draining it).
+    // nextWhen fell through to the heap only after finding it so).
     fugu_assert(nb >= ringBase_ + kRingSize);
     ringBase_ = nb;
     // Heap entries pop in (when, seq) order, and no bucket in the new
@@ -253,59 +264,52 @@ EventQueue::migrateWindow()
     while (!heap_.empty() && heap_.front().when < nb + kRingSize) {
         const HeapEntry e = heap_.front();
         heapPopFront();
-        if (slots_[e.slot].gen != e.gen) {
+        if (!entryLive(e)) {
             fugu_assert(stale_ > 0);
             --stale_;
             continue;
         }
-        const std::uint32_t b = e.when & (kRingSize - 1);
-        occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-        ring_[b].push_back(BucketEntry{e.slot, e.gen});
-        slots_[e.slot].inRing = true;
-        ++ringCount_;
+        bucketAppend(static_cast<std::uint32_t>(e.when & (kRingSize - 1)),
+                     e.slot);
     }
 }
 
 void
-EventQueue::fireSlot(std::uint32_t idx)
+EventQueue::fireNext(Cycle when)
 {
+    std::uint32_t idx;
+    // Ring entries lie inside the window and live heap entries past
+    // it, so the cycle alone says which band holds the event.
+    if (when - ringBase_ < kRingSize) {
+        const auto b = static_cast<std::uint32_t>(when & (kRingSize - 1));
+        idx = ring_[b].head;
+        bucketUnlink(b, idx);
+        now_ = when;
+    } else {
+        idx = heap_.front().slot; // live: nextWhen skipped stale ones
+        heapPopFront();
+        now_ = when;
+        migrateWindow();
+    }
     // Retire the slot before the callable runs, so cancelling its own
     // handle is a no-op; free it only after the callable returns,
     // because the callable runs out of the node's buffer.
-    Node &node = *slots_[idx].node;
-    ++slots_[idx].gen;
+    Node &n = node(idx);
+    ++n.gen;
     --live_;
-    node.fn.fireAndReset();
+    n.fn.fireAndReset();
     freeSlot(idx);
 }
 
-void
-EventQueue::fireNext(const NextEvent &nx)
-{
-    std::uint32_t slot;
-    if (nx.fromRing) {
-        std::vector<BucketEntry> &bucket = ring_[nx.bucket];
-        slot = bucket[ringHead_[nx.bucket]].slot; // liveness checked
-        ++ringHead_[nx.bucket];
-        --ringCount_;
-        now_ = nx.when;
-    } else {
-        const HeapEntry e = heap_.front();
-        heapPopFront();
-        slot = e.slot;
-        now_ = e.when;
-        migrateWindow();
-    }
-    fireSlot(slot);
-}
-
 bool
-EventQueue::runOne()
+EventQueue::runOne(Cycle until)
 {
-    NextEvent nx;
-    if (!findNext(nx))
+    Cycle when;
+    if (!nextWhen(when))
         return false;
-    fireNext(nx);
+    horizon_ = until;
+    fireNext(when);
+    horizon_ = 0;
     return true;
 }
 
@@ -313,17 +317,20 @@ std::uint64_t
 EventQueue::run(Cycle until, std::uint64_t max_events)
 {
     std::uint64_t n = 0;
+    horizon_ = until;
     while (n < max_events) {
-        NextEvent nx;
-        if (!findNext(nx) || nx.when > until) {
+        Cycle when;
+        if (!nextWhen(when) || when > until) {
+            horizon_ = 0;
             // Drained up to the horizon: the clock advances to it.
             if (until != kMaxCycle && now_ < until)
                 now_ = until;
             return n;
         }
-        fireNext(nx);
+        fireNext(when);
         ++n;
     }
+    horizon_ = 0;
     // Cut short by max_events: the clock stays at the last event.
     return n;
 }

@@ -8,25 +8,30 @@
  * The queue is a two-band calendar queue:
  *
  *  - Near band: a ring of kRingSize per-cycle FIFO buckets covering
- *    [ringBase, ringBase + kRingSize) with a two-level occupancy
- *    bitmap. Nearly all simulator traffic (coroutine resumes, spend
- *    ends, network arrivals) schedules a few cycles out, so both
- *    schedule and pop are O(1) with zero comparisons.
+ *    [ringBase, ringBase + kRingSize) with an occupancy bitmap. A
+ *    bucket is a doubly linked list threaded through the events' own
+ *    nodes, so schedule, pop and cancel are all O(1) and a bucket
+ *    holds live events only: its bitmap bit is set exactly when an
+ *    event is due in that cycle. Nearly all simulator traffic
+ *    (coroutine resumes, spend ends, network arrivals) schedules a
+ *    few cycles out.
  *  - Far band: a 4-ary min-heap. When the clock crosses into a new
  *    window, pending heap entries inside it migrate to the ring in
  *    (cycle, seq) order, which keeps firing order identical to a
- *    single global priority queue.
+ *    single global priority queue. Cancelling a heap entry is lazy:
+ *    the entry goes stale through its slot's generation and is
+ *    skipped when reached, or swept out wholesale once stale entries
+ *    dominate, so memory stays proportional to live events even
+ *    under unbounded cancel-and-replace churn.
  *
- * Cancellation is lazy: cancelFn retires the event's slot in a
- * generation-counted slot pool and the stale ring/heap entry is
- * skipped when reached — or swept out wholesale when stale entries
- * start to dominate, so memory stays proportional to live events even
- * under unbounded cancel-and-replace churn.
+ * Because the near band is exact, tryAdvance can tell in a few bitmap
+ * words that nothing is due before a given cycle; exec::Cpu uses it
+ * to end a spend without an event when its end would fire next.
  *
  * The scheduling fast path is allocation-free in steady state: each
- * slot owns a node holding the callable inline for the queue's life,
- * and cancellation handles are plain {slot, generation} pairs instead
- * of shared_ptr control blocks.
+ * slot owns a node, allocated in chunks that never move, holding the
+ * callable inline, and cancellation handles are plain
+ * {slot, generation} pairs instead of shared_ptr control blocks.
  */
 
 #ifndef FUGU_SIM_EVENT_HH
@@ -122,9 +127,11 @@ class SmallFn
     }
 
   private:
-    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+    // The function pointers come first, so they share a cache line
+    // with the owning node's header (EventQueue::Node).
     void (*destroy_)(void *) = nullptr;
     void (*fire_)(void *) = nullptr;
+    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
 /**
@@ -135,7 +142,7 @@ class SmallFn
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -153,23 +160,38 @@ class EventQueue
     scheduleFn(F &&fn, Cycle when, const char *name = "lambda")
     {
         const std::uint32_t idx = push(when, name);
-        slots_[idx].node->fn.assign(std::forward<F>(fn));
-        return EventHandle{idx, slots_[idx].gen};
+        Node &n = node(idx);
+        n.fn.assign(std::forward<F>(fn));
+        return EventHandle{idx, n.gen};
     }
 
     /** Cancel a scheduleFn event via its handle. No-op if fired. */
     void cancelFn(const EventHandle &handle);
 
     /**
-     * Execute the next pending event, advancing the clock.
+     * Move the clock to @p when (>= now) without firing anything, if
+     * that is exactly what running on would do first: no event is due
+     * in [now, when], @p when lies inside the near band's window, and
+     * it does not pass the horizon of the run() or runOne() in
+     * progress (outside one, nothing passes). An event due at @p when
+     * itself refuses, because it was scheduled first and would fire
+     * first.
+     * @return whether the clock moved.
+     */
+    bool tryAdvance(Cycle when);
+
+    /**
+     * Execute the next pending event, advancing the clock. Work that
+     * the event does through tryAdvance stays within @p until.
      * @return false if the queue is empty.
      */
-    bool runOne();
+    bool runOne(Cycle until = kMaxCycle);
 
     /**
      * Run until the queue empties, @p until is passed, or
      * @p max_events have been processed. The clock advances to
      * @p until only when the run was not cut short by @p max_events.
+     * A tryAdvance inside an event is not an event of its own.
      * @return number of events processed.
      */
     std::uint64_t run(Cycle until = kMaxCycle,
@@ -181,7 +203,7 @@ class EventQueue
     std::size_t pending() const { return live_; }
 
     /** Ring + heap entries currently held, live + stale (for tests). */
-    std::size_t heapSize() const { return heap_.size() + ringCount_; }
+    std::size_t heapSize() const { return live_ + stale_; }
 
   private:
     /** Near-band window: covers this many cycles from ringBase_. */
@@ -189,30 +211,34 @@ class EventQueue
     static constexpr unsigned kRingSize = 1u << kRingBits;
     static constexpr unsigned kOccWords = kRingSize / 64;
 
+    /** Node::bucket of an event parked in the far-band heap. */
+    static constexpr std::uint32_t kInHeap = kNoEventSlot;
+
+    /** Nodes per chunk; a chunk is allocated whole and never moves. */
+    static constexpr unsigned kChunkBits = 6;
+    static constexpr unsigned kChunkNodes = 1u << kChunkBits;
+
     /**
-     * A slot's callable and name, allocated with the slot and kept
-     * for the queue's life. A firing callable runs out of its node's
-     * buffer and may grow slots_ by scheduling, so nodes never move.
+     * One slot: its generation, its links and name, then its
+     * callable. A firing callable runs out of its node's buffer and
+     * may schedule, which may add chunks, so nodes never move.
      */
     struct Node
     {
-        SmallFn fn;
+        std::uint32_t gen = 1; // advanced on fire and on cancel
+        /** Ring bucket successor; the free list's link when free. */
+        std::uint32_t next = kNoEventSlot;
+        std::uint32_t prev = kNoEventSlot; // ring bucket predecessor
+        std::uint32_t bucket = kInHeap;    // ring bucket, or kInHeap
         const char *name = nullptr;
+        SmallFn fn;
     };
 
-    struct SlotRec
+    /** A near-band bucket: FIFO list of the live events due then. */
+    struct Bucket
     {
-        std::unique_ptr<Node> node = std::make_unique<Node>();
-        std::uint32_t gen = 1;   // advanced on fire and on cancel
-        std::uint32_t nextFree = kNoEventSlot;
-        bool inRing = false;     // entry lives in a ring bucket
-    };
-
-    /** Ring bucket entry; the cycle is implied by the bucket. */
-    struct BucketEntry
-    {
-        std::uint32_t slot;
-        std::uint32_t gen;
+        std::uint32_t head = kNoEventSlot;
+        std::uint32_t tail = kNoEventSlot;
     };
 
     struct HeapEntry
@@ -221,14 +247,6 @@ class EventQueue
         std::uint64_t seq;
         std::uint32_t slot;
         std::uint32_t gen;
-    };
-
-    /** The next event to fire, located by findNext(). */
-    struct NextEvent
-    {
-        Cycle when;
-        bool fromRing;
-        std::uint32_t bucket;
     };
 
     /**
@@ -242,6 +260,12 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
+    Node &
+    node(std::uint32_t idx)
+    {
+        return chunks_[idx >> kChunkBits][idx & (kChunkNodes - 1)];
+    }
+
     void heapSiftUp(std::size_t i);
     void heapSiftDown(std::size_t i);
     void heapPush(HeapEntry e);
@@ -249,9 +273,9 @@ class EventQueue
     void heapRebuild();
 
     bool
-    entryLive(const HeapEntry &e) const
+    entryLive(const HeapEntry &e)
     {
-        return slots_[e.slot].gen == e.gen;
+        return node(e.slot).gen == e.gen;
     }
 
     /** Claim a slot for an event at @p when and queue it. */
@@ -260,17 +284,24 @@ class EventQueue
     /** Put a retired slot back on the free list. */
     void freeSlot(std::uint32_t idx);
 
+    /** Allocate a chunk of nodes onto the free list. */
+    void addChunk();
+
+    /// @name Near-band buckets
+    /// @{
+    void bucketAppend(std::uint32_t b, std::uint32_t idx);
+    void bucketUnlink(std::uint32_t b, std::uint32_t idx);
+    /// @}
+
     /**
-     * Locate the next live event (dropping stale entries on the way)
-     * without firing it. @return false if the queue is empty.
+     * Set @p when to the cycle of the next event, dropping stale
+     * entries off the heap top on the way.
+     * @return false if the queue is empty.
      */
-    bool findNext(NextEvent &nx);
+    bool nextWhen(Cycle &when);
 
-    /** Pop and process the event located by findNext(). */
-    void fireNext(const NextEvent &nx);
-
-    /** Retire slot @p idx, run its callable, then free the slot. */
-    void fireSlot(std::uint32_t idx);
+    /** Pop and fire the event nextWhen() located at @p when. */
+    void fireNext(Cycle when);
 
     /**
      * Realign the ring window to now_ (after firing a far-band event)
@@ -281,23 +312,20 @@ class EventQueue
     /** Pop stale (cancelled) entries off the heap top. */
     void skipStale();
 
-    /** Sweep dead entries when they dominate live ones. */
+    /** Sweep dead heap entries when they dominate live ones. */
     void compactIfNeeded();
-    void ringSweepIfNeeded();
 
     Cycle now_ = 0;
+    Cycle horizon_ = 0; // until of the run()/runOne() in progress
     std::uint64_t nextSeq_ = 0;
     std::size_t live_ = 0;
-    std::size_t stale_ = 0;     // dead entries still in heap_
-    std::size_t ringStale_ = 0; // dead entries still in ring buckets
-    std::size_t ringCount_ = 0; // all entries held in ring buckets
-    std::vector<SlotRec> slots_;
+    std::size_t stale_ = 0; // dead entries still in heap_
+    std::vector<std::unique_ptr<Node[]>> chunks_;
     std::uint32_t freeSlotHead_ = kNoEventSlot;
 
     Cycle ringBase_ = 0; // window start, kRingSize-aligned, <= now_
-    std::vector<std::vector<BucketEntry>> ring_; // kRingSize buckets
-    std::vector<std::uint32_t> ringHead_; // consumed prefix per bucket
-    std::uint64_t occ_[kOccWords] = {};   // non-empty-bucket bitmap
+    Bucket ring_[kRingSize];
+    std::uint64_t occ_[kOccWords] = {}; // non-empty-bucket bitmap
 
     std::vector<HeapEntry> heap_;
 };

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "exec/cpu.hh"
@@ -379,6 +380,107 @@ TEST_F(CpuTest, UserTimerRemainingReflectsProgress)
     eq.run();
     EXPECT_EQ(fired_at, 100u);
     EXPECT_EQ(log, (std::vector<Cycle>{50, 100}));
+}
+
+// A spend with nothing due before its end ends without an event
+// (spends_elided); the tests below pin what that path must still do.
+
+TEST_F(CpuTest, ElidedSpendFiresBoundaryTimerAtTheBoundary)
+{
+    cpu.setIrqHandler(0, [&](unsigned) {
+        return kernelHandler(&cpu, &trace, 9, ~0u);
+    }, /*pulse=*/true);
+    auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 50, 50));
+    Cycle fired_at = 0;
+    double elided_then = -1;
+    cpu.setUserTimer(50, [&] {
+        fired_at = eq.now();
+        elided_then = cpu.stats.spendsElided.value();
+        cpu.raiseIrq(0);
+    });
+    cpu.switchTo(ctx);
+    eq.run();
+    // The first spend ended without an event, and its end fired the
+    // timer due exactly then, before the context went on; the IRQ it
+    // raised was taken before the second spend.
+    EXPECT_EQ(fired_at, 50u);
+    EXPECT_EQ(elided_then, 1.0);
+    EXPECT_EQ(trace, (std::vector<std::string>{"irq@50", "irqdone@59"}));
+    EXPECT_EQ(log, (std::vector<Cycle>{50, 109}));
+    EXPECT_DOUBLE_EQ(cpu.stats.userCycles.value(), 100.0);
+}
+
+Task
+spendOnce(Cpu *cpu, std::vector<Cycle> *log, Cycle n)
+{
+    co_await cpu->spend(n);
+    log->push_back(cpu->now());
+}
+
+TEST_F(CpuTest, DeadlineInsideSpendPreventsElision)
+{
+    cpu.setIrqHandler(0, [&](unsigned) {
+        return kernelHandler(&cpu, &trace, 0, ~0u);
+    }, /*pulse=*/true);
+    auto ctx = cpu.spawn("u", false, spendOnce(&cpu, &log, 100));
+    cpu.setUserTimer(30, [&] { cpu.raiseIrq(0); });
+    cpu.switchTo(ctx);
+    eq.run();
+    // The queue is empty, but the timer is due inside the spend, so
+    // the spend keeps its events and is preempted at 30.
+    EXPECT_EQ(trace, (std::vector<std::string>{"irq@30", "irqdone@30"}));
+    EXPECT_EQ(log, (std::vector<Cycle>{100}));
+    EXPECT_DOUBLE_EQ(cpu.stats.spendsElided.value(), 0.0);
+    EXPECT_DOUBLE_EQ(cpu.stats.preemptions.value(), 1.0);
+}
+
+Task
+raiseThenSpend(Cpu *cpu, std::vector<Cycle> *log)
+{
+    co_await cpu->spend(10);
+    cpu->raiseIrq(0); // pends: this context runs between spends
+    co_await cpu->spend(10);
+    log->push_back(cpu->now());
+}
+
+TEST_F(CpuTest, PendingIrqPreemptsBeforeAnElidableSpend)
+{
+    cpu.setIrqHandler(0, [&](unsigned) {
+        return kernelHandler(&cpu, &trace, 7, ~0u);
+    }, /*pulse=*/true);
+    auto ctx = cpu.spawn("u", false, raiseThenSpend(&cpu, &log));
+    cpu.switchTo(ctx);
+    eq.run();
+    // Nothing is due at 10, yet the pending line is taken before the
+    // second spend starts, not after it.
+    EXPECT_EQ(trace, (std::vector<std::string>{"irq@10", "irqdone@17"}));
+    EXPECT_EQ(log, (std::vector<Cycle>{27}));
+    EXPECT_DOUBLE_EQ(cpu.stats.preemptions.value(), 1.0);
+    EXPECT_GE(cpu.stats.spendsElided.value(), 1.0);
+}
+
+TEST_F(CpuTest, FrozenResumeKeepsItsSpendEvent)
+{
+    // Resuming a frozen context begins the rest of its spend inside
+    // the caller, here an idle hook with work after switchTo. That
+    // spend keeps its event even with nothing else due, so the hook
+    // finishes at the cycle it was called in.
+    ContextPtr stolen;
+    cpu.setIrqHandler(0, [&](unsigned) {
+        return stealingHandler(&cpu, &trace, &stolen);
+    });
+    cpu.setIdleHook([&] {
+        if (!stolen)
+            return;
+        cpu.switchTo(std::exchange(stolen, nullptr));
+        trace.push_back("hook@" + std::to_string(cpu.now()));
+    });
+    auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 100, 10));
+    cpu.switchTo(ctx);
+    eq.scheduleFn([&] { cpu.raiseIrq(0); }, 40);
+    eq.run();
+    EXPECT_EQ(trace, (std::vector<std::string>{"stole@45", "hook@45"}));
+    EXPECT_EQ(log, (std::vector<Cycle>{105, 115}));
 }
 
 TEST_F(CpuTest, DeterministicRerun)

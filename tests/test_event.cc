@@ -317,6 +317,164 @@ TEST_F(EventTest, RescheduleChurnKeepsQueueBounded)
     EXPECT_EQ(fired, 0);
 }
 
+TEST_F(EventTest, CancelInsideBucketKeepsTheRestInOrder)
+{
+    // A near-band cancel unlinks its node from the middle, the head
+    // or the tail of its cycle's list; the rest fire in schedule
+    // order, and a bucket emptied by cancels holds nothing.
+    EventQueue eq;
+    Log log;
+    const EventHandle a = scheduleLog(eq, log, "a", 5);
+    scheduleLog(eq, log, "b", 5);
+    const EventHandle c = scheduleLog(eq, log, "c", 5);
+    scheduleLog(eq, log, "d", 5);
+    const EventHandle e = scheduleLog(eq, log, "e", 5);
+    const EventHandle x = scheduleLog(eq, log, "x", 7);
+    eq.cancelFn(c);
+    eq.cancelFn(a);
+    eq.cancelFn(e);
+    eq.cancelFn(x);
+    EXPECT_EQ(eq.heapSize(), 2u); // live entries only
+    eq.run();
+    EXPECT_EQ(log, (Log{"b", "d"}));
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+/**
+ * Run @p probe inside an event at cycle 10 of a run up to @p until,
+ * after scheduling @p setup's events, and return the clock it leaves.
+ */
+template <typename Setup, typename Probe>
+Cycle
+probeAt10(EventQueue &eq, Cycle until, Setup setup, Probe probe)
+{
+    setup();
+    eq.scheduleFn(probe, 10, "probe");
+    eq.run(until);
+    return eq.now();
+}
+
+TEST_F(EventTest, TryAdvanceMovesTheClockOverAnIdleStretch)
+{
+    EventQueue eq;
+    Log log;
+    bool moved = false;
+    Cycle seen = 0;
+    probeAt10(
+        eq, kMaxCycle, [&] { scheduleLog(eq, log, "later", 40); },
+        [&] {
+            moved = eq.tryAdvance(39);
+            seen = eq.now();
+        });
+    EXPECT_TRUE(moved);
+    EXPECT_EQ(seen, 39u);
+    EXPECT_EQ(log, (Log{"later"}));
+    EXPECT_EQ(eq.now(), 40u);
+}
+
+TEST_F(EventTest, TryAdvanceRefusesAnEntryDueNow)
+{
+    EventQueue eq;
+    Log log;
+    bool moved = true;
+    probeAt10(
+        eq, kMaxCycle, [] {},
+        [&] {
+            scheduleLog(eq, log, "now", 10);
+            moved = eq.tryAdvance(20);
+        });
+    EXPECT_FALSE(moved);
+    EXPECT_EQ(log, (Log{"now"}));
+    EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST_F(EventTest, TryAdvanceRefusesAnEntryDueAtTheTarget)
+{
+    // Scheduled before whatever would end at the target, so it would
+    // fire first.
+    EventQueue eq;
+    Log log;
+    bool at = true, before = false;
+    Cycle seen = 0;
+    probeAt10(
+        eq, kMaxCycle, [&] { scheduleLog(eq, log, "due", 20); },
+        [&] {
+            at = eq.tryAdvance(20);
+            before = eq.tryAdvance(19);
+            seen = eq.now();
+        });
+    EXPECT_FALSE(at);
+    EXPECT_TRUE(before);
+    EXPECT_EQ(seen, 19u);
+    EXPECT_EQ(log, (Log{"due"}));
+}
+
+TEST_F(EventTest, TryAdvanceRefusesATargetPastTheWindow)
+{
+    // The near band covers [0, 1024) here; past it, the far band may
+    // hold the next event, so the clock does not move.
+    EventQueue eq;
+    bool past = true, last = false;
+    Cycle seen = 0;
+    probeAt10(
+        eq, kMaxCycle, [] {},
+        [&] {
+            past = eq.tryAdvance(1024);
+            last = eq.tryAdvance(1023);
+            seen = eq.now();
+        });
+    EXPECT_FALSE(past);
+    EXPECT_TRUE(last);
+    EXPECT_EQ(seen, 1023u);
+}
+
+TEST_F(EventTest, TryAdvanceRefusesATargetPastTheRunHorizon)
+{
+    EventQueue eq;
+    bool past = true, at = false;
+    Cycle seen = 0;
+    const Cycle end = probeAt10(
+        eq, 100, [] {},
+        [&] {
+            past = eq.tryAdvance(101);
+            at = eq.tryAdvance(100);
+            seen = eq.now();
+        });
+    EXPECT_FALSE(past);
+    EXPECT_TRUE(at);
+    EXPECT_EQ(seen, 100u);
+    EXPECT_EQ(end, 100u);
+
+    // runOne's horizon bounds it the same way; outside any run,
+    // nothing moves.
+    bool one = true;
+    eq.scheduleFn([&] { one = eq.tryAdvance(151); }, 120);
+    EXPECT_TRUE(eq.runOne(150));
+    EXPECT_FALSE(one);
+    EXPECT_FALSE(eq.tryAdvance(130));
+    EXPECT_EQ(eq.now(), 120u);
+}
+
+TEST_F(EventTest, TryAdvanceSucceedsOnceTheBlockingEventIsCancelled)
+{
+    EventQueue eq;
+    Log log;
+    EventHandle blocker;
+    bool blocked = true, moved = false;
+    probeAt10(
+        eq, kMaxCycle,
+        [&] { blocker = scheduleLog(eq, log, "blocker", 15); },
+        [&] {
+            blocked = eq.tryAdvance(30);
+            eq.cancelFn(blocker);
+            moved = eq.tryAdvance(30);
+        });
+    EXPECT_FALSE(blocked);
+    EXPECT_TRUE(moved);
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(eq.now(), 30u);
+}
+
 TEST_F(EventTest, PendingCountsLiveEvents)
 {
     EventQueue eq;

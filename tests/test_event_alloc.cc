@@ -3,8 +3,8 @@
  * Allocation tests for the event kernel: after warm-up, the
  * schedule/fire, schedule/cancel and cancel-and-replace hot paths must
  * not touch the global heap at all — per-slot nodes with inline
- * SmallFn storage, and recycled slot/bucket/heap capacity cover
- * steady state.
+ * SmallFn storage, near-band buckets threaded through those nodes,
+ * and recycled slot/heap capacity cover steady state.
  *
  * The global operator new/delete are replaced with counting versions
  * (count_alloc.cc); each test warms the queue up (growing pools and
@@ -58,9 +58,8 @@ struct Chain
 TEST(EventAllocTest, ScheduleFireSteadyStateIsAllocationFree)
 {
     EventQueue eq;
-    // Warm-up grows the pools and every ring bucket's capacity: with
-    // 64 in flight the clock moves one cycle per 64 events, so one
-    // full wrap of the ring needs 64 * 1024 events.
+    // Warm-up grows the slot chunks; the 64 * 1024 events it fires
+    // also wrap the near band's ring once.
     std::uint64_t remaining = 70000;
     for (unsigned i = 0; i < 64; ++i)
         eq.scheduleFn(Chain{&eq, &remaining, {}}, eq.now() + 1,

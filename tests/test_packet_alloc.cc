@@ -12,8 +12,10 @@
  * delivery on a running machine: Process::compute and UdmPort::read
  * are awaiters with no coroutine frame, so a warmed-up compute loop
  * allocates nothing, a handler that reads every payload word
- * allocates no more than one that reads a single word, and the
- * invariant checker adds no allocation to a delivery.
+ * allocates no more than one that reads a single word, the
+ * interrupt and upcall Contexts and coroutine frames come from the
+ * per-thread pool, so a whole delivery allocates nothing, and the
+ * invariant checker adds no allocation to it.
  *
  * Same shape as test_event_alloc: counting operator new/delete
  * (count_alloc.cc), warm up to high-water capacity, snapshot the
@@ -106,12 +108,11 @@ TEST_F(PacketAllocTest, CountingAllocatorIsLinked)
 TEST_F(PacketAllocTest, SteadyStateDeliveryIsAllocationFree)
 {
     // Warm-up: populate every (src,dst) channel, grow the channel
-    // map, the arrival rings and the event pools to their high-water
-    // marks — including max-size payloads. The calendar queue's near
-    // band is a 1024-bucket ring whose per-bucket vectors keep their
-    // capacity once grown but start empty, so warm-up must keep going
-    // until every bucket phase the traffic pattern touches has been
-    // seen at full occupancy: run rounds until a long quiet streak.
+    // map, the arrival rings and the event queue's slot chunks and
+    // far-band heap to their high-water marks — including max-size
+    // payloads. Near-band buckets are lists through the events' own
+    // nodes and never allocate. Run rounds until a long quiet streak,
+    // so a late high-water mark cannot pass for steady state.
     int quiet = 0;
     for (int r = 0; quiet < 512 && r < 50000; ++r) {
         const std::uint64_t b = g_newCalls.load();
@@ -152,7 +153,8 @@ TEST_F(PacketAllocTest, BackPressureWakeupIsAllocationFree)
     };
 
     // Warm-up until the saturate/subscribe/drain cycle stops touching
-    // the heap (ring buckets reach steady-state capacity, see above).
+    // the heap (the queue and channel reach their high-water marks,
+    // see above).
     auto cycle = [&] {
         saturate();
         net.subscribeSpace(0, 1, &waiter);
@@ -181,7 +183,7 @@ TEST_F(PacketAllocTest, BackPressureWakeupIsAllocationFree)
 // Fast-case delivery leaves
 // ---------------------------------------------------------------------
 
-/** Spends of one cycle that warm every near-band bucket first. */
+/** Spends of one cycle, after a warm-up run of the same. */
 exec::CoTask<void>
 computeLoop(glaze::Process &p, std::uint64_t *allocs)
 {
@@ -257,8 +259,8 @@ reader(glaze::Process &p, Delivery *d)
  * Heap allocations over the deliveries after warm-up (both nodes: the
  * send, the interrupt and upcall contexts, the handler and dispose,
  * and the invariant checker unless @p check is false).
- * The sender's period repeats every 1024 deliveries in the near band,
- * so warm-up has grown every event-queue bucket it will use.
+ * Warm-up grows the event queue's slots, the checker's tables and the
+ * frame and Context pools to what one delivery at a time needs.
  */
 std::uint64_t
 deliveryAllocations(unsigned words, bool check = true)
@@ -290,6 +292,17 @@ TEST(FastCaseAllocTest, PayloadReadsAreAllocationFree)
     const std::uint64_t all = deliveryAllocations(kMaxPayloadWords);
     EXPECT_EQ(all, one) << "reading " << kMaxPayloadWords
                         << " payload words instead of 1 allocated";
+}
+
+TEST(FastCaseAllocTest, DeliveryIsAllocationFree)
+{
+    // The interrupt and upcall Contexts and every coroutine frame of
+    // the send, the handler and dispose come from the per-thread
+    // pool, which warm-up has filled.
+    const std::uint64_t n = deliveryAllocations(1);
+    EXPECT_EQ(n, 0u) << n << " heap blocks over "
+                     << kDeliveries - kWarmDeliveries - 1
+                     << " warmed-up deliveries";
 }
 
 TEST(FastCaseAllocTest, CheckerAddsNoAllocations)
